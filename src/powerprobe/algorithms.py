@@ -5,6 +5,9 @@ window and pick shifted query pairs whose answer ratios admit e-th roots with
 the right index congruence, enumerate candidate polynomials by solving small
 full-rank linear systems assembled from those roots, then filter candidates
 down to one via extra points, a square-free check and identity tests.
+When n | (p-1)/e every root set holds the true ratio, and step 2 keeps only
+polynomials consistent with every pair; otherwise it keeps every solution of
+every full-rank subsystem.
 """
 
 from __future__ import annotations
@@ -150,6 +153,7 @@ class Pair:
 class PairGroup:
     h: int
     pairs: tuple[Pair, ...]
+    certified: bool  # every root set holds the true ratio: n | (p-1)/e
 
 
 @dataclass
@@ -203,10 +207,10 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
         for z in zeros:
             prod = prod * (x - z) % p
         adjusted[x] = a * pow(prod, -e, p) % p
-    if d_rem == 0:
-        return Step1Result(n, top, answers, zeros, 0, known, adjusted, (), True)
-
     clean = ((p - 1) // e) % n == 0
+    if d_rem == 0:
+        return Step1Result(n, top, answers, zeros, 0, known, adjusted, (), clean)
+
     need = 2 * d_rem
     groups: list[PairGroup] = []
     for h in range(1, n + 1):
@@ -228,7 +232,7 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
             continue
         if clean:
             pairs = tuple(blk[0] for blk in support[:need])
-            groups = [PairGroup(h, pairs)]
+            groups = [PairGroup(h, pairs, True)]
             break
         seen: set[int] = set()
         flat: list[Pair] = []
@@ -237,7 +241,7 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
                 if pr.x not in seen:
                     seen.add(pr.x)
                     flat.append(pr)
-        groups.append(PairGroup(h, tuple(flat)))
+        groups.append(PairGroup(h, tuple(flat), False))
     if not groups:
         raise DishonestOracleError("no shift has enough supported blocks")
     return Step1Result(n, top, answers, zeros, d_rem, known, adjusted,
@@ -248,9 +252,9 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
 
 @dataclass
 class RankLog:
-    """Dichotomy bookkeeping for system extensions.
+    """Dichotomy bookkeeping for the step 2 walk.
 
-    Each extension event classifies every admissible y; if two or more keep
+    Each event classifies every admissible y of one pair; if two or more keep
     the augmented rank, both endpoints of the affine row pencil must already
     lie in the row space (then every y keeps it).  Violations of that
     dichotomy are counted.
@@ -258,15 +262,11 @@ class RankLog:
 
     events: int = 0
     violations: int = 0
-    multi_preserving: int = 0
-    samples: list = field(default_factory=list)
-    sample_cap: int = 0
 
 
 @dataclass
 class CandidateSet:
     polys: list[Poly]
-    provenance: dict
     rank: RankLog
 
 
@@ -295,13 +295,16 @@ def _extend_basis(basis, row, pivot, p):
 
 def step2_candidates(group: PairGroup, d: int, p: int,
                      rank_log: RankLog | None = None) -> CandidateSet:
-    """Enumerate monic degree-d polynomials consistent with some root choice.
+    """Enumerate monic degree-d polynomials from the group's root choices.
 
-    Backtracking over the group's pairs: each pair is either skipped or
-    contributes one equation f(x) = y * f(x+h) for an admissible y, and only
-    rank-increasing equations are kept.  Every time the system reaches full
-    rank d it is solved and the solution recorded.  The result is exactly the
-    set of monic degree-d polynomials recoverable from full-rank subsystems.
+    Backtracking over the group's pairs: each pair contributes one equation
+    f(x) = y * f(x+h) for an admissible y, and only rank-increasing equations
+    enter the system.  On a certified group a pair is skipped only when some
+    y keeps the rank consistently, and solutions are recorded after the last
+    pair: the result is every full-rank solution consistent with all pairs.
+    On an uncertified group any pair may be skipped and the system is solved
+    as soon as it reaches rank d: the result is every solution of every
+    full-rank subsystem.
     """
     if rank_log is None:
         rank_log = RankLog()
@@ -311,54 +314,42 @@ def step2_candidates(group: PairGroup, d: int, p: int,
         hp = [pow(pr.x + pr.h, k, p) for k in range(d + 1)]
         w_vec = [xp[k] for k in range(d)] + [(-xp[d]) % p]
         u_vec = [hp[k] for k in range(d)] + [(-hp[d]) % p]
-        rows = {}
-        for y in pr.roots:
-            rows[y] = [(w - y * u) % p for w, u in zip(w_vec, u_vec)]
-        pairs.append((pr, u_vec, w_vec, rows))
+        rows = [[(w - y * u) % p for w, u in zip(w_vec, u_vec)]
+                for y in pr.roots]
+        pairs.append((u_vec, w_vec, rows))
 
-    found: dict[tuple, tuple] = {}
+    found: set[tuple] = set()
 
-    def emit(basis, chosen):
-        coeffs = [0] * d
-        for pivot, brow in basis:
-            coeffs[pivot] = brow[d]
-        key = tuple(coeffs) + (1,)
-        if key not in found:
-            found[key] = (group.h, tuple(chosen))
-
-    def walk(idx, basis, chosen):
-        if len(basis) == d:
-            emit(basis, chosen)
+    def walk(idx, basis):
+        if len(basis) == d and (idx == len(pairs) or not group.certified):
+            coeffs = [0] * d
+            for pivot, brow in basis:
+                coeffs[pivot] = brow[d]
+            found.add(tuple(coeffs) + (1,))
             return
         if idx == len(pairs) or len(basis) + (len(pairs) - idx) < d:
             return
-        pr, u_vec, w_vec, rows = pairs[idx]
+        u_vec, w_vec, rows = pairs[idx]
         preserving = 0
         extenders = []
-        for y in pr.roots:
-            red = _reduce_row(rows[y], basis, p)
+        for row in rows:
+            red = _reduce_row(row, basis, p)
             pivot = next((k for k in range(d) if red[k]), None)
             if pivot is not None:
-                extenders.append((y, red, pivot))
+                extenders.append((red, pivot))
             elif red[d] == 0:
                 preserving += 1
         rank_log.events += 1
         if preserving >= 2:
-            rank_log.multi_preserving += 1
-            ured = _reduce_row(u_vec, basis, p)
-            wred = _reduce_row(w_vec, basis, p)
-            if any(ured) or any(wred):
+            if any(_reduce_row(u_vec, basis, p)) or any(_reduce_row(w_vec, basis, p)):
                 rank_log.violations += 1
-                if len(rank_log.samples) < rank_log.sample_cap:
-                    rank_log.samples.append((idx, pr, [b for b in basis]))
-        walk(idx + 1, basis, chosen)
-        for y, red, pivot in extenders:
-            walk(idx + 1, _extend_basis(basis, red, pivot, p),
-                 chosen + [(pr.x, y)])
+        if preserving or not group.certified:
+            walk(idx + 1, basis)
+        for red, pivot in extenders:
+            walk(idx + 1, _extend_basis(basis, red, pivot, p))
 
-    walk(0, [], [])
-    polys = [Poly(p, c) for c in sorted(found)]
-    return CandidateSet(polys, dict(found), rank_log)
+    walk(0, [])
+    return CandidateSet([Poly(p, c) for c in sorted(found)], rank_log)
 
 
 # ---------- interpolation: step 3 ----------
@@ -464,12 +455,11 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
     if s1.d_rem == 0:
         candidates = [s1.known_factor]
     else:
-        merged: dict[tuple, tuple] = {}
+        merged: set[tuple] = set()
         for grp in s1.groups:
             cs = step2_candidates(grp, s1.d_rem, p, rank_log=rank)
             for cand in cs.polys:
-                lifted = cand * s1.known_factor if s1.zeros else cand
-                merged.setdefault(lifted.coeffs, cs.provenance[cand.coeffs])
+                merged.add((cand * s1.known_factor if s1.zeros else cand).coeffs)
         candidates = [Poly(p, c) for c in sorted(merged)]
     winner, s3 = step3_filter(candidates, memo, d, window, m_cap)
     budget = ((2 * d - 1) * n * n + n + d * (s3.m - 1) + 2

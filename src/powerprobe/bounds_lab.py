@@ -7,14 +7,16 @@ constants are report columns, never thresholds.  Output is CSV only.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import time
 import zlib
 import random
 from dataclasses import dataclass
 
-from .ff_core import DomainError, PrimeFieldCtx, iroot
+from .ff_core import DomainError, PrimeFieldCtx, factorize, iroot
 from .poly_algebra import (BiPoly, Poly, RationalFn, is_square_free,
                            lagrange_basis, perfect_power_decompose, poly_gcd,
                            resultant_shifted)
@@ -228,7 +230,6 @@ def envelope_shifted_intersection(e: int, m: int, constant: float = 1.0) -> floa
 def _interp_count_coeff(xs, As, e, d, p, budget):
     total = sum(p ** k for k in range(d + 1))
     _charge(total * len(xs), budget)
-    import itertools
     count = 0
     for deg in range(d + 1):
         for lower in itertools.product(range(p), repeat=deg):
@@ -252,7 +253,6 @@ def _interp_count_lambda(xs, As, e, d, ctx, budget):
     basis = lagrange_basis(p, xs[: d + 1])
     base_vals = [r[0] for r in roots]
     sub = ctx.subgroup_elements(e)
-    import itertools
     count = 0
     rest = list(zip(xs[d + 1:], As[d + 1:]))
     for lam in itertools.product(sub, repeat=d + 1):
@@ -384,8 +384,13 @@ def validate_grid(grid: dict) -> None:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    if n < 1:
+        return []
+    factors = factorize(n)
+    out = [1]
+    for q in set(factors):
+        out = [d * q ** k for d in out for k in range(factors.count(q) + 1)]
+    return sorted(out)
 
 
 def _cell_es(p: int, policy) -> list[int]:
@@ -407,7 +412,6 @@ def _cell_H(p: int, e: int, d: int, policy) -> int:
     if isinstance(policy, dict) and "fixed" in policy:
         return min(int(policy["fixed"]), p - 1)
     if policy == "sqrt_p":
-        import math
         return max(1, math.isqrt(p))
     raise DomainError("bad H_policy")
 
@@ -486,11 +490,13 @@ def sweep(grid: dict, budget: int | None = None) -> list[BoundReport]:
     base_seed = int(grid.get("seed", 0))
     e_policy = grid.get("e_divisor_policy", "all")
     H_policy = grid.get("H_policy", "window")
-    ctxs: dict[int, PrimeFieldCtx] = {}
     reports = []
-    for exp in experiments:
-        for p in primes:
-            ctx = ctxs.setdefault(p, PrimeFieldCtx(p))
+    for p in primes:
+        try:
+            ctx = PrimeFieldCtx(p)
+        except DomainError:
+            ctx = None
+        for exp in experiments:
             for e in _cell_es(p, e_policy):
                 for d in range(d_lo, d_hi + 1):
                     tag = "%d:%s:%d:%d:%d" % (base_seed, exp, p, e, d)
@@ -498,6 +504,8 @@ def sweep(grid: dict, budget: int | None = None) -> list[BoundReport]:
                     t0 = time.perf_counter()
                     H = m = measured = envelope = ratio = None
                     try:
+                        if ctx is None:
+                            raise DomainError("no field context for p = %d" % p)
                         measured, envelope, H, m = _run_cell(
                             exp, p, e, d, rng, ctx, constant, budget, H_policy)
                         ratio = measured / envelope if envelope else None

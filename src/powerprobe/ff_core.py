@@ -21,7 +21,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -106,12 +106,13 @@ def iroot(x: int, r: int) -> int:
         raise DomainError("iroot expects x >= 0, r >= 1")
     if x < 2 or r == 1:
         return x
-    k = int(round(x ** (1.0 / r)))
-    while k > 0 and k ** r > x:
-        k -= 1
-    while (k + 1) ** r <= x:
-        k += 1
-    return k
+    # integer Newton from 2^ceil(bits/r) > x^(1/r); decreases to the floor root
+    k = 1 << -(-x.bit_length() // r)
+    while True:
+        nxt = ((r - 1) * k + x // k ** (r - 1)) // r
+        if nxt >= k:
+            return k
+        k = nxt
 
 
 def find_primitive_root(p: int) -> int:

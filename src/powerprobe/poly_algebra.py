@@ -6,6 +6,8 @@ coefficient tuple.  All types are immutable and kept in canonical form.
 
 from __future__ import annotations
 
+import math
+
 from .ff_core import DomainError, PrimeFieldCtx, is_prime
 
 
@@ -211,10 +213,6 @@ class Poly:
         return "Poly(%d, %s)" % (self.p, list(self.coeffs))
 
 
-def poly_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    return divmod(f, g)
-
-
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd with the zero polynomial is the other argument, monic."""
     f._check(g)
@@ -410,7 +408,6 @@ def _general_roots(ctx: PrimeFieldCtx, value: int, k: int) -> tuple[int, ...]:
     p = ctx.p
     if value % p == 0:
         return (0,)
-    import math
     g = math.gcd(k, p - 1)
     ind = ctx.discrete_log(value) % (p - 1)
     if ind % g:
@@ -433,7 +430,6 @@ def perfect_power_decompose(rfn: RationalFn, ctx: PrimeFieldCtx | None = None) -
     p = rfn.p
     if ctx is None:
         ctx = PrimeFieldCtx(p)
-    import math
 
     def layers(poly):
         if poly.degree <= 0:

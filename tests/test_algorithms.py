@@ -255,9 +255,8 @@ class TestStep2:
             cand = step2_candidates(group, 2, 13, rank_log=log)
             brute = brute_group_consistent(group, 2, 13)
             assert spec.f in brute
-            got = set(cand.polys)
-            for q in brute:
-                assert q in got
+            assert group.certified
+            assert cand.polys == sorted(brute, key=lambda q: q.coeffs)
             assert log.violations == 0
             assert log.events > 0
 
@@ -417,6 +416,21 @@ class TestInterpolate:
         res = interpolate(oracle, 2, n=2)
         assert res.poly == spec.f
         assert res.n == 2
+
+    def test_non_clean_round_trip(self):
+        # n does not divide (p-1)/e: root sets may miss the true ratio, so
+        # step 2 must not require every pair to hold
+        for (p, e, d, n) in [(31, 3, 2, 3), (1009, 3, 2, 9)]:
+            assert ((p - 1) // e) % n != 0
+            for seed in range(4):
+                spec = gen_instance(p, e, d, seed=seed, require_square_free=True)
+                s1 = step1_collect(CachingOracle(make_oracle(spec)), d, n=n)
+                assert not s1.clean_regime
+                assert not any(g.certified for g in s1.groups)
+                oracle = CachingOracle(make_oracle(spec))
+                res = interpolate(oracle, d, n=n)
+                assert res.poly == spec.f
+                assert res.query_count <= res.query_budget
 
     def test_dishonest_oracle_detected(self):
         answers = {x: 0 for x in range(30)}

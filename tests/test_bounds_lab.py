@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from powerprobe import bounds_lab
 from powerprobe.bounds_lab import (BoundReport, BudgetExceededError,
                                    CSV_HEADER, EXPERIMENTS,
                                    count_curve_points_on_subgroups,
@@ -306,6 +307,32 @@ class TestSweep:
                 "experiments": ["value_set"]}
         reports = sweep(grid, budget=5)
         assert [r.status for r in reports] == ["budget"]
+
+    def test_bad_prime_gives_error_rows(self):
+        grid = {"primes": [101, 100], "e_divisor_policy": {"max": 6},
+                "d_range": [1, 1], "experiments": ["value_set", "curve_points"]}
+        reports = sweep(grid)
+        assert {r.p for r in reports} == {100, 101}
+        assert all(r.status == "ok" for r in reports if r.p == 101)
+        assert all(r.status == "error" for r in reports if r.p == 100)
+
+    def test_one_context_per_prime(self, monkeypatch):
+        built = []
+
+        def counting(p):
+            built.append(p)
+            return PrimeFieldCtx(p)
+
+        monkeypatch.setattr(bounds_lab, "PrimeFieldCtx", counting)
+        grid = {"primes": [13, 31], "e_divisor_policy": [2], "d_range": [1, 1],
+                "experiments": list(EXPERIMENTS)}
+        assert len(EXPERIMENTS) == 4
+        sweep(grid)
+        assert sorted(built) == [13, 31]
+
+    def test_divisors_match_trial_division(self):
+        for n in range(1, 2001):
+            assert bounds_lab._divisors(n) == [k for k in range(1, n + 1) if n % k == 0]
 
     def test_all_experiments_run(self):
         grid = {"primes": [31], "e_divisor_policy": [2], "d_range": [2, 2],

@@ -237,6 +237,14 @@ class TestRootsWindow:
         assert data["H"] == 12
         assert data["cond_ed_holds"] is True
 
+    @pytest.mark.parametrize("zeros", [40, 120])
+    def test_window_huge_c1(self, capsys, zeros):
+        code, out, _ = run(capsys, "window", "--p", "101", "--e", "5", "--d", "2",
+                           "--c1", "1" + "0" * zeros)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1
+        assert payload(out)["H"] == 100
+
 
 class TestTopLevel:
     def test_no_subcommand_exit_2(self, capsys):

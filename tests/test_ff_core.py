@@ -78,6 +78,17 @@ class TestIroot:
                 k = iroot(x, r)
                 assert k ** r <= x < (k + 1) ** r
 
+    def test_big_powers_exact_and_off_by_one(self):
+        for x in (10 ** 300 - 1, 10 ** 300, 10 ** 300 + 1):
+            for r in (3, 5, 7):
+                k = iroot(x, r)
+                assert k ** r <= x < (k + 1) ** r
+        for r in (3, 5, 7):
+            k = 10 ** 40 + 7
+            assert iroot(k ** r, r) == k
+            assert iroot(k ** r - 1, r) == k - 1
+            assert iroot(k ** r + 1, r) == k
+
 
 class TestPrimitiveRoot:
     def test_frozen_values(self):
