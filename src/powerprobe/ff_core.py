@@ -1,4 +1,10 @@
-"""Exact arithmetic in prime fields: contexts, discrete logs, subgroups, e-th roots."""
+"""Exact arithmetic in prime fields: contexts, discrete logs, subgroups, e-th roots.
+
+Contexts and root extraction build no table sized by p or sqrt(p).  e-th roots
+come from a few modular powers plus a discrete log in the subgroup whose order
+holds only the primes of e (Adleman-Manders-Miller, in its Pohlig-Hellman
+form); discrete_log itself is Pohlig-Hellman over the factors of p - 1.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +14,6 @@ from dataclasses import dataclass
 MAX_MODULUS = 1 << 62
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# dlog tables are precomputed below this modulus, BSGS is used above it
-_TABLE_LIMIT = 1 << 20
 
 
 class DomainError(ValueError):
@@ -128,6 +131,24 @@ def find_primitive_root(p: int) -> int:
     raise DomainError("no primitive root found")  # unreachable for prime p
 
 
+def _log_prime_order(t: int, gam: int, q: int, p: int) -> int:
+    # d in [0, q) with gam^d = t mod p, where gam has prime order q and t lies
+    # in <gam>: baby-step giant-step with isqrt(q - 1) + 1 steps of each kind
+    m = math.isqrt(q - 1) + 1
+    baby: dict[int, int] = {}
+    acc = 1
+    for j in range(m):
+        baby[acc] = j
+        acc = acc * gam % p
+    giant = pow(acc, -1, p)
+    for i in range(m):
+        j = baby.get(t)
+        if j is not None:
+            return i * m + j
+        t = t * giant % p
+    raise DomainError("discrete log not found")  # unreachable for t in <gam>
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
     """Multiplicative subgroup of F_p^* of the given order."""
@@ -144,7 +165,7 @@ class PrimeFieldCtx:
     in [1, p - 1] with ind 1 = p - 1.
     """
 
-    __slots__ = ("p", "g", "factors", "_dlog", "_baby")
+    __slots__ = ("p", "g", "factors")
 
     def __init__(self, p: int, g: int | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -162,71 +183,45 @@ class PrimeFieldCtx:
             if p > 2 and any(pow(g, (p - 1) // q, p) == 1 for q in radicals):
                 raise DomainError("%d is not a primitive root mod %d" % (g, p))
         self.g = g
-        self._baby = None
-        if p < _TABLE_LIMIT:
-            tbl = [0] * p
-            acc = 1
-            for i in range(1, p):
-                acc = acc * g % p
-                tbl[acc] = i
-            self._dlog = tbl
-        else:
-            self._dlog = None
-
-    # ---------- basic arithmetic ----------
-
-    def add_mod(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub_mod(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul_mod(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv_mod(self, a: int) -> int:
-        if a % self.p == 0:
-            raise DomainError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def pow_mod(self, a: int, k: int) -> int:
-        if k < 0 and a % self.p == 0:
-            raise DomainError("negative power of zero")
-        return pow(a, k, self.p)
 
     # ---------- discrete logs ----------
 
     def discrete_log(self, x: int) -> int:
-        """Index of x to base g, normalized to [1, p - 1]; ind 1 = p - 1."""
+        """Index of x to base g, normalized to [1, p - 1]; ind 1 = p - 1.
+
+        Pohlig-Hellman over the factors of p - 1, with baby-step giant-step
+        per prime: O(sqrt(q)) time and memory for the largest prime q | p - 1.
+        """
         p = self.p
         x %= p
         if x == 0:
             raise DomainError("index of zero undefined")
-        if p == 2:
-            return 1
-        if self._dlog is not None:
-            return self._dlog[x]
-        return self._bsgs(x)
+        return self._subgroup_log(x, p - 1) or p - 1
 
-    def _bsgs(self, x: int) -> int:
-        p, g = self.p, self.g
-        if self._baby is None:
-            m = math.isqrt(p - 1) + 1
-            tbl: dict[int, int] = {}
-            acc = 1
-            for j in range(m):
-                tbl.setdefault(acc, j)
-                acc = acc * g % p
-            self._baby = (m, tbl, pow(g, -m, p))
-        m, tbl, gim = self._baby
-        gamma = x
-        for i in range(m + 1):
-            j = tbl.get(gamma)
-            if j is not None:
-                z = (i * m + j) % (p - 1)
-                return z if z else p - 1
-            gamma = gamma * gim % p
-        raise DomainError("discrete log not found")  # unreachable for x in F_p^*
+    def _subgroup_log(self, x: int, order: int) -> int:
+        # c in [0, order) with x = h^c, h = g^((p-1)/order); order | p - 1 and
+        # x must lie in the subgroup of that order.  Pohlig-Hellman: solve c
+        # modulo each prime power q^k || order digit by digit, then CRT.
+        p = self.p
+        h = pow(self.g, (p - 1) // order, p)
+        c, mod = 0, 1
+        for q in set(self.factors):
+            qk = 1
+            while order % (qk * q) == 0:
+                qk *= q
+            if qk == 1:
+                continue
+            hq = pow(h, order // qk, p)
+            xq = pow(x, order // qk, p)
+            gam = pow(hq, qk // q, p)
+            cq, qi = 0, 1
+            while qi < qk:
+                t = pow(xq * pow(hq, -cq, p) % p, qk // (qi * q), p)
+                cq += _log_prime_order(t, gam, q, p) * qi
+                qi *= q
+            c += mod * ((cq - c) * pow(mod, -1, qk) % qk)
+            mod *= qk
+        return c
 
     # ---------- subgroups and roots ----------
 
@@ -252,11 +247,17 @@ class PrimeFieldCtx:
                       allow_zero: bool = False) -> tuple[int, ...]:
         """All y with y^e = value whose index is a multiple of index_multiple.
 
-        Solves e*z = ind(value) mod p - 1; there are exactly e solutions when
-        e divides ind(value) and none otherwise, and the index filter keeps
-        those with index_multiple | z.  value = 0 yields (0,) only when the
-        index filter is trivial and allow_zero is set; otherwise it is a
-        domain error because ind 0 is undefined.  Result sorted ascending.
+        value has e-th roots exactly when value^((p-1)/e) = 1, and then it has
+        e of them.  One root y comes without a full discrete log: write
+        p - 1 = m*s, where m holds exactly the primes of e, so e is invertible
+        mod s.  y0 = value^(e^-1 mod s) is a root up to r = value / y0^e, which
+        lies in the order-m subgroup <h>, h = g^s; its log c to base h
+        (Pohlig-Hellman over primes <= e) is a multiple of e, and
+        y = y0 * h^(c/e).  The roots are y*zeta^t for t < e, zeta of order e;
+        the index filter keeps those with y^((p-1)/index_multiple) = 1.
+        value = 0 yields (0,) only when the index filter is trivial and
+        allow_zero is set; otherwise it is a domain error because ind 0 is
+        undefined.  Result sorted ascending.
         """
         p = self.p
         if e < 1 or (p - 1) % e != 0:
@@ -264,21 +265,29 @@ class PrimeFieldCtx:
         n = index_multiple
         if n < 1 or (p - 1) % n != 0:
             raise DomainError("index_multiple must divide p - 1")
-        if value % p == 0:
+        value %= p
+        if value == 0:
             if allow_zero and n == 1:
                 return (0,)
             raise DomainError("zero has no index; roots of 0 need allow_zero and trivial filter")
-        za = self.discrete_log(value)
-        if za % e != 0:
+        if pow(value, (p - 1) // e, p) != 1:
             return ()
-        q = (p - 1) // e
-        z0 = za // e
+        m = 1
+        for q in set(self.factors):
+            if e % q == 0:
+                while (p - 1) % (m * q) == 0:
+                    m *= q
+        s = (p - 1) // m
+        y = pow(value, pow(e, -1, s), p)
+        r = value * pow(y, -e, p) % p
+        y = y * pow(self.g, s * (self._subgroup_log(r, m) // e), p) % p
+        zeta = self.subgroup_generator(e)
+        a, b = pow(y, (p - 1) // n, p), pow(zeta, (p - 1) // n, p)
         roots = []
-        for t in range(e):
-            z = (z0 + t * q) % (p - 1)
-            if z == 0:
-                z = p - 1
-            if z % n == 0:
-                roots.append(pow(self.g, z, p))
+        for _ in range(e):
+            if a == 1:
+                roots.append(y)
+            y = y * zeta % p
+            a = a * b % p
         roots.sort()
         return tuple(roots)

@@ -257,21 +257,38 @@ def write_transcript(oracle: PowerOracle, path) -> None:
         fh.write(transcript_to_jsonl(oracle.p, oracle.e, oracle.transcript))
 
 
+def _int_fields(obj, keys, where: str) -> list[int]:
+    # the integer fields of one transcript line, or a DomainError naming it
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise DomainError("%s missing %r" % (where, key))
+    try:
+        return [int(obj[key]) for key in keys]
+    except (TypeError, ValueError):
+        raise DomainError("%s: %s must be integers" % (where, ", ".join(keys))) from None
+
+
 def transcript_from_jsonl(text: str) -> tuple[int, int, list[tuple[int, int]]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DomainError("empty transcript")
-    head = json.loads(lines[0])
-    for key in ("p", "e", "query_count"):
-        if key not in head:
-            raise DomainError("transcript header missing %r" % key)
+    p, e, count = _int_fields(json.loads(lines[0]), ("p", "e", "query_count"),
+                              "transcript header")
     entries = []
-    for ln in lines[1:]:
-        obj = json.loads(ln)
-        entries.append((int(obj["x"]), int(obj["answer"])))
-    if len(entries) != int(head["query_count"]):
+    # a transcript logs every query, so x may repeat, but only with its answer
+    seen: dict[int, int] = {}
+    for i, ln in enumerate(lines[1:], 1):
+        where = "transcript entry %d" % i
+        x, answer = _int_fields(json.loads(ln), ("x", "answer"), where)
+        if not (0 <= x < p and 0 <= answer < p):
+            raise DomainError("%s: x = %d, answer = %d outside [0, %d)" % (where, x, answer, p))
+        if seen.setdefault(x, answer) != answer:
+            raise DomainError("%s: x = %d repeats with answer %d, not %d"
+                              % (where, x, answer, seen[x]))
+        entries.append((x, answer))
+    if len(entries) != count:
         raise DomainError("transcript query_count does not match entry count")
-    return int(head["p"]), int(head["e"]), entries
+    return p, e, entries
 
 
 def read_transcript(path) -> tuple[int, int, list[tuple[int, int]]]:

@@ -404,17 +404,17 @@ class RationalFn:
 
 
 def _general_roots(ctx: PrimeFieldCtx, value: int, k: int) -> tuple[int, ...]:
-    # all y with y^k = value for arbitrary k >= 1 (k need not divide p - 1)
+    # all y with y^k = value for arbitrary k >= 1 (k need not divide p - 1):
+    # with g = gcd(k, p - 1) and t = (k/g)^-1 mod (p-1)/g, these exist iff
+    # value^((p-1)/g) = 1, and then they are the g-th roots of value^t
     p = ctx.p
     if value % p == 0:
         return (0,)
     g = math.gcd(k, p - 1)
-    ind = ctx.discrete_log(value) % (p - 1)
-    if ind % g:
+    if pow(value, (p - 1) // g, p) != 1:
         return ()
-    step = (p - 1) // g
-    z0 = ind // g * pow(k // g, -1, step) % step
-    return tuple(sorted(pow(ctx.g, (z0 + t * step) % (p - 1), p) for t in range(g)))
+    t = pow(k // g, -1, (p - 1) // g)
+    return ctx.extract_roots(pow(value, t, p), g)
 
 
 def perfect_power_decompose(rfn: RationalFn, ctx: PrimeFieldCtx | None = None) -> tuple[RationalFn, int]:

@@ -373,6 +373,14 @@ class TestInterpolate:
         assert res.query_count == oracle.query_count
         assert res.query_count <= res.query_budget
 
+    def test_round_trip_at_61_bits(self):
+        # the README accepts moduli up to 2^62; recovery there must be quick
+        spec = gen_instance((1 << 61) - 1, 3, 2, seed=5, require_square_free=True)
+        oracle = CachingOracle(make_oracle(spec))
+        res = interpolate(oracle, 2)
+        assert res.poly == spec.f
+        assert res.query_count <= res.query_budget
+
     def test_seeded_batch_exact(self):
         for (p, e, d) in [(101, 2, 2), (101, 5, 3), (1009, 2, 3), (1009, 3, 2),
                           (31, 2, 2)]:

@@ -6,7 +6,7 @@ import pytest
 
 from powerprobe.cli import main
 from powerprobe.oracle import (LocalPowerOracle, read_instance,
-                               write_transcript)
+                               transcript_to_jsonl, write_transcript)
 from powerprobe.poly_algebra import Poly
 
 
@@ -151,6 +151,20 @@ class TestInterpolate:
         assert code == 2
         assert "transcript incomplete" in payload(out)["error"]
 
+    def test_answer_outside_field_rejected(self, capsys, tmp_path):
+        # one honest answer shifted by p must blame the transcript, not the oracle
+        oracle = LocalPowerOracle(101, 5, Poly(101, [41, 19, 1]))
+        for x in range(12):
+            oracle.query(x)
+        entries = list(oracle.transcript)
+        entries[3] = (entries[3][0], entries[3][1] + 101)
+        t = tmp_path / "shifted.jsonl"
+        t.write_text(transcript_to_jsonl(101, 5, entries))
+        code, out, _ = run(capsys, "interpolate", "--transcript", str(t), "--d", "2")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert "transcript entry 4" in payload(out)["error"]
+
     def test_square_free_gate_and_force(self, capsys, tmp_path):
         # (X+2)^2 over p=101: refused without --force, fails honestly with it
         spec_json = json.dumps({"p": 101, "e": 5, "d": 2,
@@ -222,6 +236,16 @@ class TestRootsWindow:
         code, out, _ = run(capsys, "roots", "--p", "13", "--e", "3", "8")
         assert code == 0
         assert payload(out)["roots"] == [2, 5, 6]
+
+    def test_roots_at_61_bits(self, capsys):
+        p = (1 << 61) - 1
+        cube = pow(123456789, 3, p)
+        code, out, _ = run(capsys, "roots", "--p", str(p), "--e", "3", str(cube))
+        assert code == 0
+        assert out.count("\n") == 1
+        roots = payload(out)["roots"]
+        assert len(roots) == 3 and 123456789 in roots
+        assert all(pow(y, 3, p) == cube for y in roots)
 
     def test_roots_with_filter(self, capsys):
         code, out, _ = run(capsys, "roots", "--p", "13", "--e", "3", "--n", "2", "8")

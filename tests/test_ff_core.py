@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from powerprobe.ff_core import (MAX_MODULUS, DomainError, PrimeFieldCtx,
                                 factorize, find_primitive_root, iroot,
@@ -128,21 +130,6 @@ class TestCtxValidation:
         assert ctx.discrete_log(6) == 1
 
 
-class TestModularOps:
-    def test_arithmetic(self):
-        ctx = PrimeFieldCtx(13)
-        assert ctx.add_mod(9, 9) == 5
-        assert ctx.sub_mod(3, 9) == 7
-        assert ctx.mul_mod(5, 8) == 1
-        assert ctx.inv_mod(5) == 8
-        assert ctx.pow_mod(2, 12) == 1
-
-    def test_inverse_of_zero(self):
-        ctx = PrimeFieldCtx(13)
-        with pytest.raises(DomainError):
-            ctx.inv_mod(0)
-
-
 class TestDiscreteLog:
     def test_frozen_values(self):
         ctx = PrimeFieldCtx(13)
@@ -255,3 +242,58 @@ class TestExtractRoots:
         ctx = PrimeFieldCtx(13)
         assert 1 in ctx.extract_roots(1, 3, index_multiple=4)
         assert 1 in ctx.extract_roots(1, 3, index_multiple=6)
+
+
+_SMALL_PRIMES = [q for q in range(2, 500) if is_prime(q)]
+
+
+def _divisors(m):
+    return [k for k in range(1, m + 1) if m % k == 0]
+
+
+def _big_prime(bits, rng_value):
+    # the first prime at or above a point drawn in [2^(bits-1), 2^bits)
+    q = (1 << (bits - 1)) + rng_value % (1 << (bits - 1)) | 1
+    while not is_prime(q):
+        q += 2
+    return q
+
+
+class TestRootProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(_SMALL_PRIMES), st.data())
+    def test_matches_brute_force_small_p(self, p, data):
+        divs = _divisors(p - 1)
+        e = data.draw(st.sampled_from(divs))
+        n = data.draw(st.sampled_from(divs))
+        value = data.draw(st.integers(0, p - 1))
+        ctx = PrimeFieldCtx(p)
+        if value == 0:
+            if n == 1:
+                assert ctx.extract_roots(0, e, n, allow_zero=True) == (0,)
+            with pytest.raises(DomainError):
+                ctx.extract_roots(0, e, n)
+            return
+        assert ctx.extract_roots(value, e, n) == brute_roots(p, value, e, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(40, 61), st.integers(0, 1 << 62), st.integers(1, 1 << 62),
+           st.booleans(), st.data())
+    def test_roots_verify_at_large_p(self, bits, draw, value, power, data):
+        p = _big_prime(bits, draw)
+        small = [k for k in range(1, 17) if (p - 1) % k == 0]
+        e = data.draw(st.sampled_from(small))
+        n = data.draw(st.sampled_from(small))
+        ctx = PrimeFieldCtx(p)
+        value %= p
+        assume(value != 0)
+        if power:
+            value = pow(value, e, p)
+        roots = ctx.extract_roots(value, e, n)
+        for y in roots:
+            assert pow(y, e, p) == value
+            assert pow(y, (p - 1) // n, p) == 1
+        assert list(roots) == sorted(set(roots))
+        euler = pow(value, (p - 1) // e, p) == 1
+        assert euler or not power
+        assert len(ctx.extract_roots(value, e)) == (e if euler else 0)

@@ -10,7 +10,8 @@ from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
                                gen_instance, instance_from_json,
                                instance_to_json, make_oracle, read_instance,
                                read_transcript, replay_oracle_from_file,
-                               transcript_to_jsonl, write_instance,
+                               transcript_from_jsonl, transcript_to_jsonl,
+                               write_instance,
                                write_transcript)
 from powerprobe.poly_algebra import (Poly, RationalFn, is_square_free,
                                      perfect_power_decompose)
@@ -97,6 +98,25 @@ class TestReplayOracle:
         path.write_text(bad)
         with pytest.raises(Exception):
             read_transcript(path)
+
+    def test_rejects_malformed_and_out_of_field_entries(self):
+        head = '{"p": 13, "e": 3, "query_count": 2}\n{"x": 1, "answer": 8}\n'
+        for entry, why in (('{"x": 2, "answer": 14}', "answer = 14"),
+                           ('{"x": 2, "answer": -1}', "answer = -1"),
+                           ('{"x": 13, "answer": 1}', "x = 13"),
+                           ('{"x": -1, "answer": 1}', "x = -1"),
+                           ('{"x": 1, "answer": 5}', "x = 1 repeats"),
+                           ('{"x": 2}', "missing 'answer'"),
+                           ('[2, 1]', "missing 'x'"),
+                           ('{"x": null, "answer": 1}', "must be integers")):
+            with pytest.raises(DomainError) as err:
+                transcript_from_jsonl(head + entry + "\n")
+            assert "entry 2" in str(err.value) and why in str(err.value)
+        assert transcript_from_jsonl(head + '{"x": 1, "answer": 8}\n')[2] == [(1, 8), (1, 8)]
+        for bad_head in ('7', '{"p": 13, "e": null, "query_count": 0}'):
+            with pytest.raises(DomainError) as err:
+                transcript_from_jsonl(bad_head + "\n")
+            assert "transcript header" in str(err.value)
 
 
 class TestCachingOracle:

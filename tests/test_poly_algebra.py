@@ -4,12 +4,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from powerprobe.ff_core import DomainError, PrimeFieldCtx
+from powerprobe.ff_core import DomainError, PrimeFieldCtx, is_prime
 from powerprobe.poly_algebra import (BiPoly, DegenerateResultantError, Poly,
-                                     RationalFn, divisible_by_torsion,
+                                     RationalFn, _general_roots,
+                                     divisible_by_torsion,
                                      is_square_free, lagrange_basis,
                                      lagrange_interpolate,
                                      perfect_power_decompose, poly_gcd,
@@ -288,6 +289,16 @@ class TestPerfectPower:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             perfect_power_decompose(RationalFn(Poly(13, [5]), Poly.one(13)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([q for q in range(3, 500) if is_prime(q)]),
+           st.integers(1, 60), st.data())
+    def test_general_roots_match_brute_force(self, p, k, data):
+        # k need not divide p - 1: scalar roots of the leading coefficient
+        assume((p - 1) % k != 0)
+        value = data.draw(st.integers(0, p - 1))
+        want = tuple(y for y in range(p) if pow(y, k, p) == value)
+        assert _general_roots(PrimeFieldCtx(p), value, k) == want
 
     def test_square_free_coprime_ratio_is_primitive(self):
         rng = random.Random(12)
