@@ -1,6 +1,6 @@
 """powerprobe: recover hidden monic polynomials over F_p from e-th power oracles."""
 
-from .ff_core import (DomainError, PrimeFieldCtx, SubgroupSpec, factorize,
+from .ff_core import (DomainError, PrimeFieldCtx, factorize,
                       find_primitive_root, iroot, is_prime)
 from .poly_algebra import (BiPoly, DegenerateResultantError, Poly, RationalFn,
                            divisible_by_torsion, is_square_free, lagrange_basis,

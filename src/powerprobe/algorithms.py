@@ -1,13 +1,12 @@
 """Identity testing and interpolation against e-th power oracles.
 
 The interpolation pipeline follows three steps: collect answers on a short
-window and pick shifted query pairs whose answer ratios admit e-th roots with
-the right index congruence, enumerate candidate polynomials by solving small
-full-rank linear systems assembled from those roots, then filter candidates
-down to one via extra points, a square-free check and identity tests.
-When n | (p-1)/e every root set holds the true ratio, and step 2 keeps only
-polynomials consistent with every pair; otherwise it keeps every solution of
-every full-rank subsystem.
+window and pick shifted query pairs whose answer ratios admit an e-th root with
+the right index congruence, enumerate the candidate polynomials consistent with
+every pair by solving small full-rank linear systems assembled from their
+roots, then filter candidates down to one via extra points, a square-free
+check and identity tests.  Each pair keeps every e-th root of its answer
+ratio, so its root set always holds the true ratio f(x)/f(x+h).
 """
 
 from __future__ import annotations
@@ -142,7 +141,7 @@ def identity_test(oracle_f: PowerOracle, oracle_g: PowerOracle,
 
 @dataclass(frozen=True)
 class Pair:
-    """Query pair (x, x+h) with the admissible root set of the answer ratio."""
+    """Query pair (x, x+h) with every e-th root of the answer ratio."""
 
     x: int
     h: int
@@ -153,7 +152,6 @@ class Pair:
 class PairGroup:
     h: int
     pairs: tuple[Pair, ...]
-    certified: bool  # every root set holds the true ratio: n | (p-1)/e
 
 
 @dataclass
@@ -166,7 +164,6 @@ class Step1Result:
     known_factor: Poly
     adjusted: dict
     groups: tuple[PairGroup, ...]
-    clean_regime: bool
 
 
 def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
@@ -175,12 +172,11 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
 
     Zero answers are roots of the hidden polynomial; they are divided out and
     the pair search runs at the reduced degree over the same window.  Blocks
-    [i n, (i+1) n] for i = 0..(2d-1)n are scanned for pairs (x, x+h) whose
-    adjusted answer ratio has e-th roots of index divisible by n.  When
-    n | (p-1)/e a nonempty root set certifies the congruence for the true
-    ratio, so exactly 2*d_rem pairs under the smallest workable shift are
-    returned; otherwise every supporting pair of every workable shift is kept
-    and the caller unions candidates over shifts.
+    [i n, (i+1) n] for i = 0..(2d-1)n are scanned, for the shifts h = 1..n in
+    turn, for the first pair (x, x+h) whose adjusted answer ratio has an e-th
+    root y with y^((p-1)/n) = 1.  That pair keeps every e-th root of its ratio,
+    so it always holds the true ratio.  The first shift with 2*d_rem such
+    blocks gives the one group.
     """
     p, e = oracle.p, oracle.e
     if d < 1:
@@ -207,45 +203,25 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
         for z in zeros:
             prod = prod * (x - z) % p
         adjusted[x] = a * pow(prod, -e, p) % p
-    clean = ((p - 1) // e) % n == 0
     if d_rem == 0:
-        return Step1Result(n, top, answers, zeros, 0, known, adjusted, (), clean)
+        return Step1Result(n, top, answers, zeros, 0, known, adjusted, ())
 
     need = 2 * d_rem
-    groups: list[PairGroup] = []
     for h in range(1, n + 1):
-        support: list[list[Pair]] = []
+        pairs: list[Pair] = []
         for i in range((2 * d - 1) * n + 1):
-            opts: list[Pair] = []
             for x in range(i * n, (i + 1) * n - h + 1):
                 if x in zero_set or (x + h) in zero_set:
                     continue
                 ratio = adjusted[x] * pow(adjusted[x + h], -1, p) % p
-                roots = ctx.extract_roots(ratio, e, n)
-                if roots:
-                    opts.append(Pair(x, h, roots))
-                    if clean:
-                        break
-            if opts:
-                support.append(opts)
-        if len(support) < need:
-            continue
-        if clean:
-            pairs = tuple(blk[0] for blk in support[:need])
-            groups = [PairGroup(h, pairs, True)]
-            break
-        seen: set[int] = set()
-        flat: list[Pair] = []
-        for blk in support:
-            for pr in blk:
-                if pr.x not in seen:
-                    seen.add(pr.x)
-                    flat.append(pr)
-        groups.append(PairGroup(h, tuple(flat), False))
-    if not groups:
-        raise DishonestOracleError("no shift has enough supported blocks")
-    return Step1Result(n, top, answers, zeros, d_rem, known, adjusted,
-                       tuple(groups), clean)
+                roots = ctx.extract_roots(ratio, e)
+                if any(pow(y, (p - 1) // n, p) == 1 for y in roots):
+                    pairs.append(Pair(x, h, roots))
+                    break
+            if len(pairs) == need:
+                return Step1Result(n, top, answers, zeros, d_rem, known, adjusted,
+                                   (PairGroup(h, tuple(pairs)),))
+    raise DishonestOracleError("no shift has enough supported blocks")
 
 
 # ---------- interpolation: step 2 ----------
@@ -298,13 +274,10 @@ def step2_candidates(group: PairGroup, d: int, p: int,
     """Enumerate monic degree-d polynomials from the group's root choices.
 
     Backtracking over the group's pairs: each pair contributes one equation
-    f(x) = y * f(x+h) for an admissible y, and only rank-increasing equations
-    enter the system.  On a certified group a pair is skipped only when some
-    y keeps the rank consistently, and solutions are recorded after the last
-    pair: the result is every full-rank solution consistent with all pairs.
-    On an uncertified group any pair may be skipped and the system is solved
-    as soon as it reaches rank d: the result is every solution of every
-    full-rank subsystem.
+    f(x) = y * f(x+h) for a y in its root set, and only rank-increasing
+    equations enter the system.  A pair is skipped only when some y keeps the
+    rank consistently, and solutions are recorded after the last pair: the
+    result is every full-rank solution consistent with all pairs.
     """
     if rank_log is None:
         rank_log = RankLog()
@@ -321,13 +294,14 @@ def step2_candidates(group: PairGroup, d: int, p: int,
     found: set[tuple] = set()
 
     def walk(idx, basis):
-        if len(basis) == d and (idx == len(pairs) or not group.certified):
-            coeffs = [0] * d
-            for pivot, brow in basis:
-                coeffs[pivot] = brow[d]
-            found.add(tuple(coeffs) + (1,))
+        if idx == len(pairs):
+            if len(basis) == d:
+                coeffs = [0] * d
+                for pivot, brow in basis:
+                    coeffs[pivot] = brow[d]
+                found.add(tuple(coeffs) + (1,))
             return
-        if idx == len(pairs) or len(basis) + (len(pairs) - idx) < d:
+        if len(basis) + (len(pairs) - idx) < d:
             return
         u_vec, w_vec, rows = pairs[idx]
         preserving = 0
@@ -343,7 +317,7 @@ def step2_candidates(group: PairGroup, d: int, p: int,
         if preserving >= 2:
             if any(_reduce_row(u_vec, basis, p)) or any(_reduce_row(w_vec, basis, p)):
                 rank_log.violations += 1
-        if preserving or not group.certified:
+        if preserving:
             walk(idx + 1, basis)
         for red, pivot in extenders:
             walk(idx + 1, _extend_basis(basis, red, pivot, p))
@@ -354,10 +328,15 @@ def step2_candidates(group: PairGroup, d: int, p: int,
 
 # ---------- interpolation: step 3 ----------
 
+def shifted_condition_holds(p: int, e: int, m: int) -> bool:
+    """p >= (2m floor(e^(1/(2m+1))) + 2m + 2) e; vacuously true for m = 0."""
+    return m == 0 or p >= (2 * m * iroot(e, 2 * m + 1) + 2 * m + 2) * e
+
+
 def choose_m(p: int, e: int, m_cap: int = 64) -> int:
-    """Smallest m >= 1 with p >= (2m floor(e^(1/(2m+1))) + 2m + 2) e."""
+    """Smallest m >= 1 with shifted_condition_holds(p, e, m)."""
     for m in range(1, m_cap + 1):
-        if p >= (2 * m * iroot(e, 2 * m + 1) + 2 * m + 2) * e:
+        if shifted_condition_holds(p, e, m):
             return m
     raise NoValidMError("no m <= %d works; p too small relative to e" % m_cap)
 
@@ -452,18 +431,13 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
     window = compute_window(p, e, d, c1)
     s1 = step1_collect(memo, d, n, ctx)
     rank = RankLog()
-    if s1.d_rem == 0:
-        candidates = [s1.known_factor]
-    else:
-        merged: set[tuple] = set()
-        for grp in s1.groups:
-            cs = step2_candidates(grp, s1.d_rem, p, rank_log=rank)
-            for cand in cs.polys:
-                merged.add((cand * s1.known_factor if s1.zeros else cand).coeffs)
-        candidates = [Poly(p, c) for c in sorted(merged)]
+    candidates = [s1.known_factor]
+    if s1.groups:
+        cs = step2_candidates(s1.groups[0], s1.d_rem, p, rank_log=rank)
+        candidates = sorted((c * s1.known_factor for c in cs.polys),
+                            key=lambda q: q.coeffs)
     winner, s3 = step3_filter(candidates, memo, d, window, m_cap)
-    budget = ((2 * d - 1) * n * n + n + d * (s3.m - 1) + 2
-              + len(s3.survivors) * window.H)
+    budget = s1.range_top + s3.filter_top + 1 + len(s3.survivors) * window.H
     ms = (time.perf_counter() - t0) * 1000.0
     return InterpolationResult(winner, p, e, d, n, memo.query_count, window,
                                s3.m, s1.zeros, candidates, len(candidates),

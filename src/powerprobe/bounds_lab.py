@@ -16,11 +16,11 @@ import zlib
 import random
 from dataclasses import dataclass
 
-from .ff_core import DomainError, PrimeFieldCtx, factorize, iroot
+from .ff_core import DomainError, PrimeFieldCtx, factorize
 from .poly_algebra import (BiPoly, Poly, RationalFn, is_square_free,
                            lagrange_basis, perfect_power_decompose, poly_gcd,
                            resultant_shifted)
-from .algorithms import choose_m, compute_window
+from .algorithms import choose_m, compute_window, shifted_condition_holds
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -153,13 +153,6 @@ def envelope_curve_points(d: int, W: int, p: int, constant: float = 1.0) -> floa
 
 
 # ---------- shifted subgroup intersections ----------
-
-def shifted_condition_holds(p: int, e: int, m: int) -> bool:
-    """p >= (2m floor(e^(1/(2m+1))) + 2m + 2) e; vacuously true for m = 0."""
-    if m == 0:
-        return True
-    return p >= (2 * m * iroot(e, 2 * m + 1) + 2 * m + 2) * e
-
 
 def count_shifted_subgroup_intersection(e: int, shifts, scales, ctx: PrimeFieldCtx,
                                         budget: int | None = None) -> tuple[int, bool]:

@@ -9,7 +9,6 @@ form); discrete_log itself is Pohlig-Hellman over the factors of p - 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 MAX_MODULUS = 1 << 62
 
@@ -118,17 +117,17 @@ def iroot(x: int, r: int) -> int:
         k = nxt
 
 
+def _generates(g: int, p: int, radicals) -> bool:
+    # g generates F_p^* iff g^((p-1)/q) != 1 for every prime q | p - 1
+    return all(pow(g, (p - 1) // q, p) != 1 for q in radicals)
+
+
 def find_primitive_root(p: int) -> int:
     """Smallest primitive root mod p (1 for p = 2)."""
     if not is_prime(p):
         raise DomainError("%d is not prime" % p)
-    if p == 2:
-        return 1
-    radicals = sorted(set(factorize(p - 1)))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in radicals):
-            return g
-    raise DomainError("no primitive root found")  # unreachable for prime p
+    radicals = set(factorize(p - 1))
+    return next(g for g in range(1, p) if _generates(g, p, radicals))
 
 
 def _log_prime_order(t: int, gam: int, q: int, p: int) -> int:
@@ -149,15 +148,6 @@ def _log_prime_order(t: int, gam: int, q: int, p: int) -> int:
     raise DomainError("discrete log not found")  # unreachable for t in <gam>
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """Multiplicative subgroup of F_p^* of the given order."""
-
-    order: int
-    generator: int
-    elements: tuple[int, ...]
-
-
 class PrimeFieldCtx:
     """Arithmetic context for F_p: prime modulus, primitive root, factored p - 1.
 
@@ -173,15 +163,14 @@ class PrimeFieldCtx:
         if p >= MAX_MODULUS:
             raise DomainError("modulus must be below 2^62")
         self.p = p
-        self.factors = tuple(factorize(p - 1)) if p > 2 else ()
+        self.factors = tuple(factorize(p - 1))
+        radicals = set(self.factors)
         if g is None:
-            g = find_primitive_root(p)
-        else:
-            if not 1 <= g < p:
-                raise DomainError("primitive root out of range")
-            radicals = set(self.factors)
-            if p > 2 and any(pow(g, (p - 1) // q, p) == 1 for q in radicals):
-                raise DomainError("%d is not a primitive root mod %d" % (g, p))
+            g = next(x for x in range(1, p) if _generates(x, p, radicals))
+        elif not 1 <= g < p:
+            raise DomainError("primitive root out of range")
+        elif not _generates(g, p, radicals):
+            raise DomainError("%d is not a primitive root mod %d" % (g, p))
         self.g = g
 
     # ---------- discrete logs ----------
@@ -230,18 +219,15 @@ class PrimeFieldCtx:
             raise DomainError("order must divide p - 1")
         return pow(self.g, (self.p - 1) // order, self.p)
 
-    def subgroup(self, order: int) -> SubgroupSpec:
+    def subgroup_elements(self, order: int) -> tuple[int, ...]:
+        """All solutions of x^order = 1, sorted ascending."""
         gen = self.subgroup_generator(order)
         elems = [1]
         acc = gen
         while acc != 1:
             elems.append(acc)
             acc = acc * gen % self.p
-        return SubgroupSpec(order, gen, tuple(sorted(elems)))
-
-    def subgroup_elements(self, order: int) -> tuple[int, ...]:
-        """All solutions of x^order = 1, sorted ascending."""
-        return self.subgroup(order).elements
+        return tuple(sorted(elems))
 
     def extract_roots(self, value: int, e: int, index_multiple: int = 1,
                       allow_zero: bool = False) -> tuple[int, ...]:

@@ -166,13 +166,12 @@ class TestStep1:
         assert s1.zeros == ()
         assert s1.d_rem == 2
         assert s1.known_factor == Poly.one(101)
-        assert s1.clean_regime
         assert len(s1.groups) == 1
         group = s1.groups[0]
         assert group.h == 1
         assert [pair.x for pair in group.pairs] == [0, 1, 2, 3]
         for pair in group.pairs:
-            assert 1 <= len(pair.roots) <= 5
+            assert len(pair.roots) == 5  # every e-th root of the ratio
             ratio = spec.f(pair.x) * pow(spec.f(pair.x + 1), -1, 101) % 101
             assert ratio in pair.roots
 
@@ -225,6 +224,23 @@ class TestStep1:
                     found = True
         assert found
 
+    def test_non_clean_pairs_hold_true_ratio(self):
+        # n = 3 does not divide (p-1)/e = 10, so roots of one ratio differ in
+        # index mod n; each pair must still keep the true ratio
+        p, e, d, n = 31, 3, 2, 3
+        for seed in (1, 3, 4):
+            spec = gen_instance(p, e, d, seed=seed, require_square_free=True)
+            s1 = step1_collect(CachingOracle(make_oracle(spec)), d, n=n)
+            assert s1.d_rem == 2
+            group, = s1.groups
+            for pair in group.pairs:
+                ratio = spec.f(pair.x) * pow(spec.f(pair.x + pair.h), -1, p) % p
+                assert ratio in pair.roots
+            cand = step2_candidates(group, d, p)
+            brute = brute_group_consistent(group, d, p)
+            assert cand.polys == sorted(brute, key=lambda q: q.coeffs)
+            assert spec.f in cand.polys
+
 
 def brute_group_consistent(group, d, p):
     # all monic degree-d polynomials satisfying every pair constraint
@@ -255,7 +271,7 @@ class TestStep2:
             cand = step2_candidates(group, 2, 13, rank_log=log)
             brute = brute_group_consistent(group, 2, 13)
             assert spec.f in brute
-            assert group.certified
+            assert all(len(pair.roots) == 3 for pair in group.pairs)
             assert cand.polys == sorted(brute, key=lambda q: q.coeffs)
             assert log.violations == 0
             assert log.events > 0
@@ -426,15 +442,15 @@ class TestInterpolate:
         assert res.n == 2
 
     def test_non_clean_round_trip(self):
-        # n does not divide (p-1)/e: root sets may miss the true ratio, so
-        # step 2 must not require every pair to hold
+        # n does not divide (p-1)/e: the index filter holds for only some
+        # roots of a ratio, so pairs keep every root to hold the true one
         for (p, e, d, n) in [(31, 3, 2, 3), (1009, 3, 2, 9)]:
             assert ((p - 1) // e) % n != 0
             for seed in range(4):
                 spec = gen_instance(p, e, d, seed=seed, require_square_free=True)
                 s1 = step1_collect(CachingOracle(make_oracle(spec)), d, n=n)
-                assert not s1.clean_regime
-                assert not any(g.certified for g in s1.groups)
+                assert all(len(pair.roots) == e
+                           for g in s1.groups for pair in g.pairs)
                 oracle = CachingOracle(make_oracle(spec))
                 res = interpolate(oracle, d, n=n)
                 assert res.poly == spec.f

@@ -183,6 +183,14 @@ class TestInterpolate:
         assert code == 0
         assert payload(out)["n"] == 2
 
+    def test_non_clean_n_few_candidates(self, capsys):
+        # n = 9 does not divide (p-1)/e = 336
+        code, out, _ = run(capsys, "interpolate", "--p", "1009", "--e", "3",
+                           "--d", "2", "--seed", "1", "--n", "9")
+        assert code == 0
+        assert out.count("\n") == 1
+        assert payload(out)["candidates_examined"] <= 4
+
 
 class TestSweep:
     def grid(self, tmp_path, **extra):
