@@ -7,6 +7,12 @@ every pair by solving small full-rank linear systems assembled from their
 roots, then filter candidates down to one via extra points, a square-free
 check and identity tests.  Each pair keeps every e-th root of its answer
 ratio, so its root set always holds the true ratio f(x)/f(x+h).
+
+Step 2 walks root choices pair by pair.  A pair's rows w - y*u form a pencil,
+so a node reduces u and w once instead of one row per root; once the basis
+has rank d-1 the remaining pairs are solved on the line of solutions it
+leaves.  The walk has about e^(d-1) nodes and charges each one against the
+operation budget (BudgetExceededError).
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from .ff_core import DomainError, PrimeFieldCtx, iroot
+from .ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, _budget, iroot
 from .oracle import CachingOracle, LocalPowerOracle, PowerOracle
 from .poly_algebra import Poly, is_square_free, lagrange_interpolate, poly_power_root
 
@@ -230,10 +237,11 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
 class RankLog:
     """Dichotomy bookkeeping for the step 2 walk.
 
-    Each event classifies every admissible y of one pair; if two or more keep
-    the augmented rank, both endpoints of the affine row pencil must already
-    lie in the row space (then every y keeps it).  Violations of that
-    dichotomy are counted.
+    One event per walk node.  At a node below rank d-1 the pair's rows form
+    the pencil w - y*u; if two or more roots y keep the rank consistently,
+    both u and w must already reduce to zero against the basis (then every y
+    keeps it).  The pencil makes this hold by construction, so the count of
+    violations is a cheap consistency check that stays 0.
     """
 
     events: int = 0
@@ -269,6 +277,91 @@ def _extend_basis(basis, row, pivot, p):
     return out
 
 
+def _pencil(u, w, basis, roots, root_set, d, p):
+    """Classify the rows w - y*u of one pair against the basis.
+
+    Returns (preserving, extenders, violation): how many roots keep the rank
+    consistently, the distinct reduced rows that raise it, and whether two or
+    more roots keep it although u or w does not reduce to zero.
+    """
+    ru, rw = _reduce_row(u, basis, p), _reduce_row(w, basis, p)
+    lead = next((k for k in range(d) if ru[k]), None)
+    if lead is None and not any(rw[:d]):
+        # every root's row reduces to (0, ..., 0, rw[d] - y*ru[d])
+        if ru[d]:
+            preserving = int(rw[d] * pow(ru[d], -1, p) % p in root_set)
+        else:
+            preserving = 0 if rw[d] else len(roots)
+        extenders = []
+    else:
+        y0 = None  # the one root whose row may reduce to zero before column d
+        if lead is not None:
+            y0 = rw[lead] * pow(ru[lead], -1, p) % p
+            if y0 not in root_set or any((a - y0 * b) % p for a, b in zip(rw[:d], ru[:d])):
+                y0 = None
+        preserving = int(y0 is not None and (rw[d] - y0 * ru[d]) % p == 0)
+        ys = roots if any(ru) else roots[:1]  # u reduces to zero: one row for all y
+        extenders = [[(a - y * b) % p for a, b in zip(rw, ru)] for y in ys if y != y0]
+    return preserving, extenders, preserving >= 2 and (any(ru) or any(rw))
+
+
+def _line_points(basis, rest, d, p):
+    """Points of the line left by a rank d-1 basis where every pair in rest
+    has its ratio among its roots.
+
+    The basis leaves the line c0 + t*c1, i.e. f_t = F0 + t*F1.  For a pair
+    (x, x+h) put A, B = F0(x), F1(x) and C, D = F0(x+h), F1(x+h).  Root y
+    holds at the one t = (yC - A)/(B - yD) when B - yD != 0, and on the whole
+    line when B - yD = yC - A = 0.  The first pair with no whole-line root
+    gives at most e values of t; each is checked against every other pair
+    with one division and one lookup in its root set.  When every pair has a
+    whole-line root, no pair pins t down and nothing is emitted.
+    """
+    pivots = {pv for pv, _ in basis}
+    free = next(k for k in range(d) if k not in pivots)
+    c0, c1 = [0] * d, [0] * d
+    c1[free] = 1
+    for pv, row in basis:
+        c0[pv], c1[pv] = row[d], -row[free] % p
+    lines = {}
+
+    def line(i):  # A, B, C, D and the roots of pair i, evaluated on demand
+        if i not in lines:
+            u, w, roots, root_set = rest[i]
+            lines[i] = ((sum(map(mul, c0, w)) - w[d]) % p, sum(map(mul, c1, w)) % p,
+                        (sum(map(mul, c0, u)) - u[d]) % p, sum(map(mul, c1, u)) % p,
+                        roots, root_set)
+        return lines[i]
+
+    for i in range(len(rest)):
+        A, B, C, D, roots, root_set = line(i)
+        if D:
+            y = B * pow(D, -1, p) % p
+            whole = y in root_set and A == y * C % p
+        elif B:
+            whole = False
+        else:
+            whole = A * pow(C, -1, p) % p in root_set if C else A == 0
+        if whole:
+            continue
+        others = [k for k in range(len(rest)) if k != i]
+        ts = set()
+        for y in roots:
+            den = (B - y * D) % p
+            if not den:
+                continue
+            t = (y * C - A) * pow(den, -1, p) % p
+            for k in others:  # f_t(x)/f_t(x+h) must be one of pair k's roots
+                Ak, Bk, Ck, Dk, _, root_set_k = line(k)
+                den = (Ck + t * Dk) % p
+                if not den or (Ak + t * Bk) * pow(den, -1, p) % p not in root_set_k:
+                    break
+            else:
+                ts.add(t)
+        return [tuple((a + t * b) % p for a, b in zip(c0, c1)) + (1,) for t in ts]
+    return []
+
+
 def step2_candidates(group: PairGroup, d: int, p: int,
                      rank_log: RankLog | None = None) -> CandidateSet:
     """Enumerate monic degree-d polynomials from the group's root choices.
@@ -276,54 +369,57 @@ def step2_candidates(group: PairGroup, d: int, p: int,
     Backtracking over the group's pairs: each pair contributes one equation
     f(x) = y * f(x+h) for a y in its root set, and only rank-increasing
     equations enter the system.  A pair is skipped only when some y keeps the
-    rank consistently, and solutions are recorded after the last pair: the
-    result is every full-rank solution consistent with all pairs.
+    rank consistently.  The rows of a pair form the pencil w - y*u, so each
+    node reduces u and w once and reads every root's row off the pair.  At
+    rank d-1 the remaining solutions form a line, and the remaining pairs are
+    solved on it directly (`_line_points`).  The result is every full-rank
+    solution f whose ratio f(x)/f(x+h) lies in each pair's root set; an f
+    with f(x) = f(x+h) = 0 at some pair is not one of them.
+
+    Each node charges about (d+1)(3 rank + e) field operations against the
+    operation budget (`POWERPROBE_BUDGET`, default DEFAULT_BUDGET), and the
+    walk raises BudgetExceededError once the charge passes it.
     """
     if rank_log is None:
         rank_log = RankLog()
+    limit = _budget(None)
+    spent = 0
     pairs = []
     for pr in group.pairs:
         xp = [pow(pr.x, k, p) for k in range(d + 1)]
         hp = [pow(pr.x + pr.h, k, p) for k in range(d + 1)]
-        w_vec = [xp[k] for k in range(d)] + [(-xp[d]) % p]
-        u_vec = [hp[k] for k in range(d)] + [(-hp[d]) % p]
-        rows = [[(w - y * u) % p for w, u in zip(w_vec, u_vec)]
-                for y in pr.roots]
-        pairs.append((u_vec, w_vec, rows))
+        w_vec = xp[:d] + [-xp[d] % p]
+        u_vec = hp[:d] + [-hp[d] % p]
+        pairs.append((u_vec, w_vec, pr.roots, frozenset(pr.roots)))
 
     found: set[tuple] = set()
-
-    def walk(idx, basis):
-        if idx == len(pairs):
-            if len(basis) == d:
-                coeffs = [0] * d
-                for pivot, brow in basis:
-                    coeffs[pivot] = brow[d]
-                found.add(tuple(coeffs) + (1,))
-            return
-        if len(basis) + (len(pairs) - idx) < d:
-            return
-        u_vec, w_vec, rows = pairs[idx]
-        preserving = 0
-        extenders = []
-        for row in rows:
-            red = _reduce_row(row, basis, p)
-            pivot = next((k for k in range(d) if red[k]), None)
-            if pivot is not None:
-                extenders.append((red, pivot))
-            elif red[d] == 0:
-                preserving += 1
+    stack = [(0, [])]
+    while stack:
+        idx, basis = stack.pop()
+        rank = len(basis)
+        if rank + len(pairs) - idx < d:
+            continue
+        u_vec, w_vec, roots, root_set = pairs[idx]
+        spent += (d + 1) * (3 * rank + len(roots))
+        if spent > limit:
+            raise BudgetExceededError("budget: step 2 walk passed %d ops" % limit)
         rank_log.events += 1
-        if preserving >= 2:
-            if any(_reduce_row(u_vec, basis, p)) or any(_reduce_row(w_vec, basis, p)):
-                rank_log.violations += 1
+        if rank == d - 1:
+            found.update(_line_points(basis, pairs[idx:], d, p))
+            continue
+        preserving, extenders, violation = _pencil(u_vec, w_vec, basis, roots,
+                                                   root_set, d, p)
+        rank_log.violations += violation
         if preserving:
-            walk(idx + 1, basis)
-        for red, pivot in extenders:
-            walk(idx + 1, _extend_basis(basis, red, pivot, p))
-
-    walk(0, [])
-    return CandidateSet([Poly(p, c) for c in sorted(found)], rank_log)
+            stack.append((idx + 1, basis))
+        for row in extenders:
+            pivot = next(k for k in range(d) if row[k])
+            stack.append((idx + 1, _extend_basis(basis, row, pivot, p)))
+    # a pair whose two points are both zeros of f holds for every root; the
+    # hidden polynomial never vanishes at a pair point, so such f are dropped
+    polys = [Poly(p, c) for c in sorted(found)]
+    return CandidateSet([f for f in polys
+                         if all(f(pr.x + pr.h) for pr in group.pairs)], rank_log)
 
 
 # ---------- interpolation: step 3 ----------

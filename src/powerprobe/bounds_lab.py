@@ -10,32 +10,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import time
 import zlib
 import random
 from dataclasses import dataclass
 
-from .ff_core import DomainError, PrimeFieldCtx, factorize
+# the budget lives in ff_core so that the step 2 walk can use it too;
+# DEFAULT_BUDGET, BudgetExceededError and _budget stay importable from here
+from .ff_core import (DEFAULT_BUDGET, BudgetExceededError, DomainError,
+                      PrimeFieldCtx, _budget, factorize)
 from .poly_algebra import (BiPoly, Poly, RationalFn, is_square_free,
                            lagrange_basis, perfect_power_decompose, poly_gcd,
                            resultant_shifted)
 from .algorithms import choose_m, compute_window, shifted_condition_holds
-
-DEFAULT_BUDGET = 10 ** 8
-
-
-class BudgetExceededError(RuntimeError):
-    """The enumeration would exceed the operation budget."""
-
-
-def _budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    try:
-        return int(os.environ.get("POWERPROBE_BUDGET", DEFAULT_BUDGET))
-    except ValueError:
-        return DEFAULT_BUDGET
 
 
 def _charge(estimate: int, budget: int | None):

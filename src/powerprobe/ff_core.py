@@ -1,22 +1,39 @@
-"""Exact arithmetic in prime fields: contexts, discrete logs, subgroups, e-th roots.
+"""Exact arithmetic in prime fields: contexts, subgroups, e-th roots, and the
+operation budget.
 
 Contexts and root extraction build no table sized by p or sqrt(p).  e-th roots
 come from a few modular powers plus a discrete log in the subgroup whose order
 holds only the primes of e (Adleman-Manders-Miller, in its Pohlig-Hellman
-form); discrete_log itself is Pohlig-Hellman over the factors of p - 1.
+form).
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 MAX_MODULUS = 1 << 62
+DEFAULT_BUDGET = 10 ** 8
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class DomainError(ValueError):
     """Arguments leave the mathematical domain of the operation."""
+
+
+class BudgetExceededError(RuntimeError):
+    """The enumeration would exceed the operation budget."""
+
+
+def _budget(budget: int | None) -> int:
+    # an explicit budget, else POWERPROBE_BUDGET, else DEFAULT_BUDGET
+    if budget is not None:
+        return budget
+    try:
+        return int(os.environ.get("POWERPROBE_BUDGET", DEFAULT_BUDGET))
+    except ValueError:
+        return DEFAULT_BUDGET
 
 
 def is_prime(n: int) -> bool:
@@ -151,8 +168,7 @@ def _log_prime_order(t: int, gam: int, q: int, p: int) -> int:
 class PrimeFieldCtx:
     """Arithmetic context for F_p: prime modulus, primitive root, factored p - 1.
 
-    Field elements are plain ints in [0, p).  Indices (discrete logs) are ints
-    in [1, p - 1] with ind 1 = p - 1.
+    Field elements are plain ints in [0, p).
     """
 
     __slots__ = ("p", "g", "factors")
@@ -172,20 +188,6 @@ class PrimeFieldCtx:
         elif not _generates(g, p, radicals):
             raise DomainError("%d is not a primitive root mod %d" % (g, p))
         self.g = g
-
-    # ---------- discrete logs ----------
-
-    def discrete_log(self, x: int) -> int:
-        """Index of x to base g, normalized to [1, p - 1]; ind 1 = p - 1.
-
-        Pohlig-Hellman over the factors of p - 1, with baby-step giant-step
-        per prime: O(sqrt(q)) time and memory for the largest prime q | p - 1.
-        """
-        p = self.p
-        x %= p
-        if x == 0:
-            raise DomainError("index of zero undefined")
-        return self._subgroup_log(x, p - 1) or p - 1
 
     def _subgroup_log(self, x: int, order: int) -> int:
         # c in [0, order) with x = h^c, h = g^((p-1)/order); order | p - 1 and

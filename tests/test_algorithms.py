@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from powerprobe.algorithms import (AmbiguousCandidatesError,
                                    DishonestOracleError,
@@ -14,7 +16,8 @@ from powerprobe.algorithms import (AmbiguousCandidatesError,
                                    interpolate, naive_power_interpolate,
                                    regime_condition_holds, step1_collect,
                                    step2_candidates, step3_filter)
-from powerprobe.ff_core import DomainError, PrimeFieldCtx, iroot
+from powerprobe.ff_core import (BudgetExceededError, DomainError,
+                                PrimeFieldCtx, iroot, is_prime)
 from powerprobe.oracle import (CachingOracle, LocalPowerOracle, ReplayOracle,
                                gen_instance, make_oracle)
 from powerprobe.poly_algebra import Poly
@@ -306,6 +309,37 @@ class TestStep2:
             step2_candidates(s1.groups[0], 2, 13, rank_log=log)
             assert log.violations == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_brute_at_small_p(self, data):
+        # every e | p - 1 with e >= 2 at p <= 31, d <= 3, random instances
+        p = data.draw(st.sampled_from([q for q in range(3, 32) if is_prime(q)]))
+        e = data.draw(st.sampled_from([k for k in range(2, p) if (p - 1) % k == 0]))
+        d = data.draw(st.integers(1, min(3, (p - 1) // 2)))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        spec = gen_instance(p, e, d, seed=seed)
+        s1 = step1_collect(CachingOracle(make_oracle(spec)), d)
+        assume(s1.groups)
+        group, = s1.groups
+        cand = step2_candidates(group, s1.d_rem, p)
+        assert cand.polys == sorted(brute_group_consistent(group, s1.d_rem, p),
+                                    key=lambda q: q.coeffs)
+        assert cand.rank.violations == 0
+
+    def test_line_solve_bounds_nodes(self):
+        # pencil nodes below rank d-1 and one line node per rank d-1 basis:
+        # at most 1 + e + e^2 nodes for d = 3, not e^3
+        p, e, d = 1009, 16, 3
+        for seed in range(2):
+            spec = gen_instance(p, e, d, seed=seed, require_square_free=True)
+            s1 = step1_collect(CachingOracle(make_oracle(spec)), d)
+            assert s1.d_rem == d
+            log = RankLog()
+            cand = step2_candidates(s1.groups[0], d, p, rank_log=log)
+            assert spec.f in cand.polys
+            assert 0 < log.events <= 1 + e + e * e
+            assert log.violations == 0
+
 
 class TestChooseM:
     def test_frozen(self):
@@ -396,6 +430,22 @@ class TestInterpolate:
         res = interpolate(oracle, 2)
         assert res.poly == spec.f
         assert res.query_count <= res.query_budget
+
+    def test_round_trip_below_2_62(self):
+        # 2^62 - 57 is the largest prime below 2^62, the README's limit
+        p = (1 << 62) - 57
+        for e in (2, 3):
+            spec = gen_instance(p, e, 2, seed=1, require_square_free=True)
+            res = interpolate(CachingOracle(make_oracle(spec)), 2)
+            assert res.poly == spec.f
+            assert res.query_count <= res.query_budget
+
+    def test_exponential_walk_hits_budget(self, monkeypatch):
+        # e = 2, d = 40 has 2^39 root paths; the walk must stop at the budget
+        monkeypatch.setenv("POWERPROBE_BUDGET", str(10 ** 6))
+        spec = gen_instance(65537, 2, 40, seed=1, require_square_free=True)
+        with pytest.raises(BudgetExceededError):
+            interpolate(CachingOracle(make_oracle(spec)), 40)
 
     def test_seeded_batch_exact(self):
         for (p, e, d) in [(101, 2, 2), (101, 5, 3), (1009, 2, 3), (1009, 3, 2),

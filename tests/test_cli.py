@@ -112,6 +112,15 @@ class TestInterpolate:
         assert data["rank_violations"] == 0
         assert data["query_count"] <= data["query_budget"]
 
+    def test_exponential_walk_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("POWERPROBE_BUDGET", str(10 ** 6))
+        code, out, err = run(capsys, "interpolate", "--p", "65537", "--e", "2",
+                             "--d", "40", "--seed", "1")
+        assert code == 2
+        assert out.count("\n") == 1
+        assert "budget" in payload(out)["error"]
+        assert "Traceback" not in err
+
     def test_inline_generation(self, capsys):
         code, out, _ = run(capsys, "interpolate", "--p", "101", "--e", "5",
                            "--d", "2", "--seed", "7")
@@ -253,6 +262,16 @@ class TestRootsWindow:
         assert out.count("\n") == 1
         roots = payload(out)["roots"]
         assert len(roots) == 3 and 123456789 in roots
+        assert all(pow(y, 3, p) == cube for y in roots)
+
+    def test_roots_below_2_62(self, capsys):
+        p = (1 << 62) - 57  # the largest prime below 2^62
+        cube = pow(987654321, 3, p)
+        code, out, _ = run(capsys, "roots", "--p", str(p), "--e", "3", str(cube))
+        assert code == 0
+        assert out.count("\n") == 1
+        roots = payload(out)["roots"]
+        assert len(roots) == 3 and 987654321 in roots
         assert all(pow(y, 3, p) == cube for y in roots)
 
     def test_roots_with_filter(self, capsys):

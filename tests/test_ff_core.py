@@ -1,4 +1,4 @@
-"""Field context, discrete logs, subgroups, and root extraction."""
+"""Field context, subgroups, and root extraction."""
 
 import math
 
@@ -127,37 +127,6 @@ class TestCtxValidation:
     def test_accepts_alternative_primitive_root(self):
         ctx = PrimeFieldCtx(13, g=6)
         assert ctx.g == 6
-        assert ctx.discrete_log(6) == 1
-
-
-class TestDiscreteLog:
-    def test_frozen_values(self):
-        ctx = PrimeFieldCtx(13)
-        assert ctx.g == 2
-        assert ctx.discrete_log(3) == 4
-        assert ctx.discrete_log(2) == 1
-        assert ctx.discrete_log(1) == 12
-
-    def test_bijection_table_path(self):
-        ctx = PrimeFieldCtx(101)
-        logs = [ctx.discrete_log(x) for x in range(1, 101)]
-        assert sorted(logs) == list(range(1, 101))
-        for x in range(1, 101):
-            assert pow(ctx.g, ctx.discrete_log(x), 101) == x
-
-    def test_bsgs_path_above_table_limit(self):
-        p = 1048583  # prime just above 2**20, forces baby-step giant-step
-        ctx = PrimeFieldCtx(p)
-        for x in (1, 2, 3, 500000, p - 1, 999983):
-            z = ctx.discrete_log(x)
-            assert 1 <= z <= p - 1
-            assert pow(ctx.g, z, p) == x
-        assert ctx.discrete_log(1) == p - 1
-
-    def test_rejects_zero(self):
-        ctx = PrimeFieldCtx(13)
-        with pytest.raises(DomainError):
-            ctx.discrete_log(0)
 
 
 class TestSubgroups:
