@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import time
 import zlib
 import random
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 # DEFAULT_BUDGET, BudgetExceededError and _budget stay importable from here
 from .ff_core import (DEFAULT_BUDGET, BudgetExceededError, DomainError,
                       PrimeFieldCtx, _budget, factorize)
-from .poly_algebra import (BiPoly, Poly, RationalFn, is_square_free,
+from .poly_algebra import (BiPoly, Poly, RationalFn, _eval, is_square_free,
                            lagrange_basis, perfect_power_decompose, poly_gcd,
                            resultant_shifted)
 from .algorithms import choose_m, compute_window, shifted_condition_holds
@@ -207,15 +208,24 @@ def envelope_shifted_intersection(e: int, m: int, constant: float = 1.0) -> floa
 
 # ---------- interpolating polynomial counts ----------
 
-def _interp_count_coeff(xs, As, e, d, p, budget):
+def _interp_count_coeff(xs, As, e, d, ctx, budget):
+    # For fixed upper coefficients, c0 -> f(x_0) is a bijection of F_p, so
+    # f(x_0)^e = A_0 leaves one c0 per e-th root of A_0 to test on the rest.
+    p = ctx.p
     total = sum(p ** k for k in range(d + 1))
     _charge(total * len(xs), budget)
-    count = 0
-    for deg in range(d + 1):
-        for lower in itertools.product(range(p), repeat=deg):
-            f = Poly(p, lower + (1,))
-            if all(pow(f(x), e, p) == a for x, a in zip(xs, As)):
-                count += 1
+    count = int(all(a == 1 for a in As))  # f = 1
+    roots = ctx.extract_roots(As[0], e)
+    x0, rest = xs[0], list(zip(xs[1:], As[1:]))
+    for deg in range(1, d + 1):
+        for upper in itertools.product(range(p), repeat=deg - 1):
+            coeffs = (0,) + upper + (1,)
+            at_rest = [(_eval(coeffs, x, p), a) for x, a in rest]
+            u0 = _eval(coeffs, x0, p)
+            for r in roots:
+                c0 = r - u0
+                if all(pow(c0 + u, e, p) == a for u, a in at_rest):
+                    count += 1
     return count
 
 
@@ -230,18 +240,21 @@ def _interp_count_lambda(xs, As, e, d, ctx, budget):
             return 0
         roots.append(r)
     _charge(e ** (d + 1) * (d + 1) * (d + 1) + e ** (d + 1) * len(xs), budget)
+    # each labeling picks an e-th root v_i of A_i at the first d + 1 nodes;
+    # f = sum_i v_i L_i has its coefficients (high to low) and its values at
+    # the remaining nodes as dot products of v with those of the basis
     basis = lagrange_basis(p, xs[: d + 1])
-    base_vals = [r[0] for r in roots]
-    sub = ctx.subgroup_elements(e)
+    columns = [[L.coeffs[k] for L in basis] for k in range(d, -1, -1)]
+    rest = [([L(x) for L in basis], a) for x, a in zip(xs[d + 1:], As[d + 1:])]
     count = 0
-    rest = list(zip(xs[d + 1:], As[d + 1:]))
-    for lam in itertools.product(sub, repeat=d + 1):
-        f = Poly.zero(p)
-        for c0, lam_i, L in zip(base_vals, lam, basis):
-            f = f + (c0 * lam_i % p) * L
-        if f.is_zero or not f.is_monic:
+    for vals in itertools.product(*roots[: d + 1]):
+        for col in columns:
+            lead = sum(map(operator.mul, vals, col)) % p
+            if lead:
+                break
+        if lead != 1:
             continue
-        if all(pow(f(x), e, p) == a for x, a in rest):
+        if all(pow(sum(map(operator.mul, vals, row)), e, p) == a for row, a in rest):
             count += 1
     return count
 
@@ -274,7 +287,7 @@ def count_interpolating_polynomials(xs, As, e: int, d: int, ctx: PrimeFieldCtx,
     cost_lambda = e ** (d + 1) * (d + 1) * (d + 1) if len(xs) >= d + 1 else None
     if cost_lambda is not None and cost_lambda < cost_coeff:
         return _interp_count_lambda(xs, As, e, d, ctx, budget)
-    return _interp_count_coeff(xs, As, e, d, p, budget)
+    return _interp_count_coeff(xs, As, e, d, ctx, budget)
 
 
 def count_interpolating_polynomials_alt(xs, As, e: int, d: int, ctx: PrimeFieldCtx,
@@ -285,7 +298,7 @@ def count_interpolating_polynomials_alt(xs, As, e: int, d: int, ctx: PrimeFieldC
     cost_coeff = sum(p ** k for k in range(d + 1)) * len(xs)
     cost_lambda = e ** (d + 1) * (d + 1) * (d + 1) if len(xs) >= d + 1 else None
     if cost_lambda is not None and cost_lambda < cost_coeff:
-        return _interp_count_coeff(xs, As, e, d, p, budget)
+        return _interp_count_coeff(xs, As, e, d, ctx, budget)
     if cost_lambda is None:
         raise DomainError("lambda strategy needs at least d + 1 nodes")
     return _interp_count_lambda(xs, As, e, d, ctx, budget)

@@ -13,7 +13,8 @@ import random
 from dataclasses import dataclass
 
 from .ff_core import DomainError, is_prime
-from .poly_algebra import Poly, RationalFn, is_square_free, perfect_power_decompose
+from .poly_algebra import (Poly, RationalFn, _eval_run, is_square_free,
+                           perfect_power_decompose)
 
 
 class OracleError(DomainError):
@@ -54,7 +55,7 @@ class InstanceSpec:
 class PowerOracle:
     """Base query interface: answers f(x)^e and records a transcript."""
 
-    __slots__ = ("p", "e", "_log", "_seen", "has_repeated_queries")
+    __slots__ = ("p", "e", "_log")
 
     def __init__(self, p: int, e: int):
         if not is_prime(p):
@@ -64,8 +65,6 @@ class PowerOracle:
         self.p = p
         self.e = e
         self._log: list[tuple[int, int]] = []
-        self._seen: set[int] = set()
-        self.has_repeated_queries = False
 
     def _answer(self, x: int) -> int:
         raise NotImplementedError
@@ -74,10 +73,6 @@ class PowerOracle:
         if not isinstance(x, int) or not 0 <= x < self.p:
             raise OracleError("query point out of range [0, p)")
         a = self._answer(x)
-        if x in self._seen:
-            self.has_repeated_queries = True
-        else:
-            self._seen.add(x)
         self._log.append((x, a))
         return a
 
@@ -86,23 +81,50 @@ class PowerOracle:
         return len(self._log)
 
     @property
+    def has_repeated_queries(self) -> bool:
+        return len({x for x, _ in self._log}) < len(self._log)
+
+    @property
     def transcript(self) -> tuple[tuple[int, int], ...]:
         return tuple(self._log)
 
 
 class LocalPowerOracle(PowerOracle):
-    """Evaluates the hidden polynomial locally."""
+    """Evaluates the hidden polynomial locally.
 
-    __slots__ = ("_f",)
+    A long scan of consecutive x, such as identity_test's x = 1..H, is served
+    in blocks.  Once the scan has run B = 16(d+1) points, the values of f at
+    the next B points x0, ..., x0 + B - 1 come from one `_eval_run`:
+    f(x0 + t) = t! * sum_k (Delta^k f(x0) / k!) * (1 / (t - k)!), which
+    needs t! invertible, so a block holds at most p - x0 points and ends at
+    p - 1.  Every query still goes through `query` one point at a time, and
+    only queried points are answered and logged, so answers, transcripts
+    and query counts are those of evaluating f at each x.
+    """
+
+    __slots__ = ("_f", "_block_len", "_last", "_run", "_x0", "_vals")
 
     def __init__(self, p: int, e: int, f: Poly):
         super().__init__(p, e)
         if f.p != p or f.is_zero:
             raise DomainError("hidden polynomial must be nonzero over F_p")
         self._f = f
+        self._block_len = 16 * (f.degree + 1)
+        self._last = -1         # the previous query ends a scan of _run points
+        self._run = 0
+        self._x0 = 0            # the block: f(_x0 + i) = _vals[i]
+        self._vals: list[int] = []
 
     def _answer(self, x: int) -> int:
-        return pow(self._f(x), self.e, self.p)
+        self._run = self._run + 1 if x == self._last + 1 else 1
+        self._last = x
+        i = x - self._x0
+        if not 0 <= i < len(self._vals):
+            if self._run < self._block_len:
+                return pow(self._f(x), self.e, self.p)
+            self._x0, i = x, 0
+            self._vals = _eval_run(self._f.coeffs, x, min(self._block_len, self.p - x), self.p)
+        return pow(self._vals[i], self.e, self.p)
 
 
 class ReplayOracle(PowerOracle):

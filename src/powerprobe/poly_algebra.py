@@ -83,6 +83,46 @@ def _eval(a, x, p):
     return acc
 
 
+def _eval_run(a, x0, count, p):
+    """The values a(x0), a(x0 + 1), ..., a(x0 + count - 1) for 0 <= x0 and
+    count <= p - x0.
+
+    With the forward differences D_k = Delta^k a(x0), k <= d = deg a,
+    a(x0 + t) = sum_k binom(t, k) D_k = t! * sum_k (D_k / k!) * (1 / (t-k)!),
+    one convolution of the sequences D_k / k! and 1 / j!.  It needs t! to be
+    invertible, t < p, which count <= p - x0 ensures.  The convolution is one
+    big-integer product of the two sequences packed into slots wide enough
+    for (d+1)(p-1)^2, so no slot carries into the next.  Short runs of at
+    most 2(d+1) points use Horner's rule.
+    """
+    if x0 < 0 or count > p - x0:
+        raise DomainError("the run must stay inside [0, p)")
+    d = max(len(a) - 1, 0)
+    if count <= 2 * (d + 1):
+        return [_eval(a, x0 + t, p) for t in range(count)]
+    diffs = [_eval(a, x0 + t, p) for t in range(d + 1)]
+    for k in range(1, d + 1):
+        for j in range(d, k - 1, -1):
+            diffs[j] = (diffs[j] - diffs[j - 1]) % p
+    fact = [1] * count
+    for t in range(1, count):
+        fact[t] = fact[t - 1] * t % p
+    inv_fact = [0] * count
+    inv_fact[-1] = pow(fact[-1], -1, p)
+    for t in range(count - 1, 0, -1):
+        inv_fact[t - 1] = inv_fact[t] * t % p
+    width = (2 * p.bit_length() + (d + 1).bit_length() + 7) // 8
+
+    def pack(seq):
+        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in seq]), "little")
+
+    prod = pack([D * inv_fact[k] % p for k, D in enumerate(diffs)]) * pack(inv_fact)
+    raw = prod.to_bytes(width * (count + d + 1), "little")
+    unpack = int.from_bytes
+    return [unpack(raw[i:i + width], "little") * f % p
+            for i, f in zip(range(0, width * count, width), fact)]
+
+
 class Poly:
     """Univariate polynomial over F_p, canonical (no trailing zeros)."""
 

@@ -1,10 +1,13 @@
 """Counting lab: exact counters, dual strategies, envelopes, sweep driver."""
 
+import itertools
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerprobe import bounds_lab
 from powerprobe.bounds_lab import (BoundReport, BudgetExceededError,
@@ -220,6 +223,46 @@ class TestInterpolatingCount:
     def test_envelope_shape(self):
         assert math.isclose(envelope_interpolating_count(4, 3), 4 ** 2.5)
         assert math.isclose(envelope_interpolating_count(4, 3, eps=0.5), 4 ** 3)
+
+
+def brute_interp_count(xs, As, e, d, p):
+    # every monic f of degree at most d, built and evaluated as a Poly
+    count = 0
+    for deg in range(d + 1):
+        for lower in itertools.product(range(p), repeat=deg):
+            f = Poly(p, lower + (1,))
+            if all(pow(f(x), e, p) == a for x, a in zip(xs, As)):
+                count += 1
+    return count
+
+
+class TestInterpCountStrategies:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 3), st.data())
+    def test_equals_brute_force(self, p, d, data):
+        e = data.draw(st.sampled_from([k for k in range(1, p) if (p - 1) % k == 0]))
+        xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
+                                max_size=min(p, d + 3), unique=True))
+        kind = data.draw(st.sampled_from(["hidden", "ones", "random"]))
+        if kind == "hidden":
+            f = Poly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1])
+            As = [pow(f(x), e, p) for x in xs]
+            if 0 in As:
+                As = [1] * len(xs)
+        elif kind == "ones":  # f = 1 counts here
+            As = [1] * len(xs)
+        else:
+            As = data.draw(st.lists(st.integers(1, p - 1), min_size=len(xs), max_size=len(xs)))
+        ctx = PrimeFieldCtx(p)
+        want = brute_interp_count(xs, As, e, d, p)
+        assert bounds_lab._interp_count_coeff(xs, As, e, d, ctx, None) == want
+        if len(xs) >= d + 1:
+            assert bounds_lab._interp_count_lambda(xs, As, e, d, ctx, None) == want
+
+    def test_budget_refused(self):
+        ctx = PrimeFieldCtx(101)
+        with pytest.raises(BudgetExceededError):
+            bounds_lab._interp_count_coeff([1, 2], [1, 1], 4, 2, ctx, budget=1000)
 
 
 class TestBudget:

@@ -3,10 +3,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from powerprobe.algorithms import compute_window, identity_test
 from powerprobe.ff_core import DomainError
 from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
-                               ReplayOracle, TranscriptIncompleteError,
+                               PowerOracle, ReplayOracle, TranscriptIncompleteError,
                                gen_instance, instance_from_json,
                                instance_to_json, make_oracle, read_instance,
                                read_transcript, replay_oracle_from_file,
@@ -68,6 +71,71 @@ class TestLocalOracle:
             o.query(13)
         with pytest.raises(DomainError):
             o.query(-1)
+
+
+class HornerOracle(PowerOracle):
+    """Reference: f(x)^e by Horner's rule at every query, no blocks."""
+
+    def __init__(self, p, e, coeffs):
+        super().__init__(p, e)
+        self.coeffs = coeffs
+
+    def _answer(self, x):
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * x + c) % self.p
+        return pow(acc, self.e, self.p)
+
+
+@st.composite
+def query_sequences(draw, p, block):
+    # scans crossing several block boundaries, jumps, repeats of an earlier
+    # point, descending runs and scans that end at p - 1
+    xs = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["scan", "jump", "repeat", "down", "tail"]))
+        if kind == "scan":
+            start = draw(st.integers(0, p - 1))
+            length = draw(st.integers(1, 4 * block + 3))
+            xs += range(start, min(p, start + length))
+        elif kind == "jump" or (kind == "repeat" and not xs):
+            xs.append(draw(st.integers(0, p - 1)))
+        elif kind == "repeat":
+            xs.append(draw(st.sampled_from(xs)))
+        elif kind == "down":
+            start = draw(st.integers(0, p - 1))
+            xs += range(start, max(-1, start - draw(st.integers(1, 2 * block))), -1)
+        else:
+            xs += range(max(0, p - draw(st.integers(1, 3 * block))), p)
+    return xs
+
+
+class TestBlockedScans:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(101, 5), (257, 16), (7681, 3), (65537, 4)]),
+           st.integers(0, 4), st.data())
+    def test_matches_horner_oracle(self, pe, d, data):
+        p, e = pe
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
+        coeffs[-1] = coeffs[-1] or 1
+        xs = data.draw(query_sequences(p, 16 * (d + 1)))
+        local = LocalPowerOracle(p, e, Poly(p, coeffs))
+        ref = HornerOracle(p, e, coeffs)
+        assert [local.query(x) for x in xs] == [ref.query(x) for x in xs]
+        assert local.transcript == ref.transcript
+        assert local.query_count == ref.query_count == len(xs)
+        assert local.has_repeated_queries == ref.has_repeated_queries
+
+    def test_identity_witness_at_one_costs_two_queries(self):
+        p, e = 65537, 4
+        f = Poly(p, [3] * 40 + [1])
+        g = f + 1
+        assert pow(f(1), e, p) != pow(g(1), e, p)
+        of, og = LocalPowerOracle(p, e, f), LocalPowerOracle(p, e, g)
+        verdict = identity_test(of, og, compute_window(p, e, 40))
+        assert verdict.witness == 1 and verdict.queries == 2
+        assert of.transcript == ((1, pow(f(1), e, p)),)
+        assert og.transcript == ((1, pow(g(1), e, p)),)
 
 
 class TestReplayOracle:
