@@ -208,12 +208,24 @@ def envelope_shifted_intersection(e: int, m: int, constant: float = 1.0) -> floa
 
 # ---------- interpolating polynomial counts ----------
 
+def _coeff_cost(xs, e, d, p):
+    # the coefficient strategy's operations: p^(deg-1) upper-coefficient tuples
+    # a degree, each evaluated at every node and tested for each root of A_0
+    return sum(p ** (deg - 1) for deg in range(1, d + 1)) * (e + 1) * len(xs)
+
+
+def _interp_strategies(xs, e, d, p):
+    # the coefficient and labeling strategies, the cheaper one first
+    if len(xs) >= d + 1 and e ** (d + 1) * (d + 1) * (d + 1) < _coeff_cost(xs, e, d, p):
+        return _interp_count_lambda, _interp_count_coeff
+    return _interp_count_coeff, _interp_count_lambda
+
+
 def _interp_count_coeff(xs, As, e, d, ctx, budget):
     # For fixed upper coefficients, c0 -> f(x_0) is a bijection of F_p, so
     # f(x_0)^e = A_0 leaves one c0 per e-th root of A_0 to test on the rest.
     p = ctx.p
-    total = sum(p ** k for k in range(d + 1))
-    _charge(total * len(xs), budget)
+    _charge(_coeff_cost(xs, e, d, p), budget)
     count = int(all(a == 1 for a in As))  # f = 1
     roots = ctx.extract_roots(As[0], e)
     x0, rest = xs[0], list(zip(xs[1:], As[1:]))
@@ -278,30 +290,18 @@ def count_interpolating_polynomials(xs, As, e: int, d: int, ctx: PrimeFieldCtx,
                                     budget: int | None = None) -> int:
     """Monic f of degree at most d with f(x_i)^e = A_i for all i.
 
-    Enumerates either p^deg coefficient tuples or e^(d+1) root-of-unity
+    Enumerates either p^(deg-1) coefficient tuples or e^(d+1) root-of-unity
     labelings of interpolation values, whichever is cheaper within budget.
     """
     xs, As = _interp_validate(xs, As, e, ctx)
-    p = ctx.p
-    cost_coeff = sum(p ** k for k in range(d + 1)) * len(xs)
-    cost_lambda = e ** (d + 1) * (d + 1) * (d + 1) if len(xs) >= d + 1 else None
-    if cost_lambda is not None and cost_lambda < cost_coeff:
-        return _interp_count_lambda(xs, As, e, d, ctx, budget)
-    return _interp_count_coeff(xs, As, e, d, ctx, budget)
+    return _interp_strategies(xs, e, d, ctx.p)[0](xs, As, e, d, ctx, budget)
 
 
 def count_interpolating_polynomials_alt(xs, As, e: int, d: int, ctx: PrimeFieldCtx,
                                         budget: int | None = None) -> int:
     """Second strategy: whichever enumeration the primary would not pick."""
     xs, As = _interp_validate(xs, As, e, ctx)
-    p = ctx.p
-    cost_coeff = sum(p ** k for k in range(d + 1)) * len(xs)
-    cost_lambda = e ** (d + 1) * (d + 1) * (d + 1) if len(xs) >= d + 1 else None
-    if cost_lambda is not None and cost_lambda < cost_coeff:
-        return _interp_count_coeff(xs, As, e, d, ctx, budget)
-    if cost_lambda is None:
-        raise DomainError("lambda strategy needs at least d + 1 nodes")
-    return _interp_count_lambda(xs, As, e, d, ctx, budget)
+    return _interp_strategies(xs, e, d, ctx.p)[1](xs, As, e, d, ctx, budget)
 
 
 def envelope_interpolating_count(e: int, d: int, constant: float = 1.0,

@@ -37,11 +37,16 @@ def _fraction(text):
         raise DomainError("bad fraction %r" % text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, too, ends in one JSON line
+        self.print_usage(sys.stderr)
+        raise DomainError("%s: %s" % (self.prog, message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="powerprobe",
-                                 description="identity testing and interpolation "
-                                             "of hidden monic polynomials from "
-                                             "e-th power oracles")
+    ap = _Parser(prog="powerprobe",
+                 description="identity testing and interpolation of hidden monic "
+                             "polynomials from e-th power oracles")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add_common(sp, *names):
@@ -257,13 +262,11 @@ _DISPATCH = {"gen": _cmd_gen, "identity": _cmd_identity,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as ex:
-        return int(ex.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.cmd](args)
+    except SystemExit as ex:  # --help
+        return int(ex.code or 0)
     except (DomainError, OracleError, AlgorithmError, BudgetExceededError,
             OSError, json.JSONDecodeError, ValueError) as ex:
         _log("error: %s" % ex)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .ff_core import DomainError, is_prime
-from .poly_algebra import (Poly, RationalFn, _eval_run, is_square_free,
+from .poly_algebra import (Poly, RationalFn, _RunEvaluator, is_square_free,
                            perfect_power_decompose)
 
 
@@ -92,39 +92,39 @@ class PowerOracle:
 class LocalPowerOracle(PowerOracle):
     """Evaluates the hidden polynomial locally.
 
-    A long scan of consecutive x, such as identity_test's x = 1..H, is served
-    in blocks.  Once the scan has run B = 16(d+1) points, the values of f at
-    the next B points x0, ..., x0 + B - 1 come from one `_eval_run`:
-    f(x0 + t) = t! * sum_k (Delta^k f(x0) / k!) * (1 / (t - k)!), which
-    needs t! invertible, so a block holds at most p - x0 points and ends at
-    p - 1.  Every query still goes through `query` one point at a time, and
-    only queried points are answered and logged, so answers, transcripts
-    and query counts are those of evaluating f at each x.
+    A scan of consecutive x, such as identity_test's x = 1..H, is served
+    from blocks of answers f(x)^e made by `_RunEvaluator.run`.  Past the
+    first max(2(d+1), 128) points of a scan, a query outside the block
+    starts one as long as the scan so far, at most 64(d+1) points, ending
+    by p - 1.  Shorter scans, such as recovery's at small d, stay on
+    Horner's rule.  Every query still goes through `query`, and only queried
+    points are logged, so answers, transcripts and query counts are those
+    of evaluating f at each x.
     """
 
-    __slots__ = ("_f", "_block_len", "_last", "_run", "_x0", "_vals")
+    __slots__ = ("_f", "_runs", "_start", "_cap", "_last", "_run", "_x0", "_vals")
 
     def __init__(self, p: int, e: int, f: Poly):
         super().__init__(p, e)
         if f.p != p or f.is_zero:
             raise DomainError("hidden polynomial must be nonzero over F_p")
-        self._f = f
-        self._block_len = 16 * (f.degree + 1)
-        self._last = -1         # the previous query ends a scan of _run points
-        self._run = 0
-        self._x0 = 0            # the block: f(_x0 + i) = _vals[i]
-        self._vals: list[int] = []
+        self._f, self._runs = f, _RunEvaluator(f.coeffs, p)
+        self._start, self._cap = max(2 * (f.degree + 1), 128), 64 * (f.degree + 1)
+        self._last, self._run = -1, 0   # the scan ending at _last has run _run points
+        self._x0, self._vals = 0, []    # the block: f(_x0 + i)^e = _vals[i]
 
     def _answer(self, x: int) -> int:
-        self._run = self._run + 1 if x == self._last + 1 else 1
-        self._last = x
         i = x - self._x0
-        if not 0 <= i < len(self._vals):
-            if self._run < self._block_len:
-                return pow(self._f(x), self.e, self.p)
-            self._x0, i = x, 0
-            self._vals = _eval_run(self._f.coeffs, x, min(self._block_len, self.p - x), self.p)
-        return pow(self._vals[i], self.e, self.p)
+        if 0 <= i < len(self._vals):
+            return self._vals[i]
+        self._run = run = self._run + 1 if x == self._last + 1 else 1
+        self._last = x
+        if run <= self._start:
+            return pow(self._f(x), self.e, self.p)
+        n = min(run, self._cap, self.p - x)
+        self._x0, self._vals = x, self._runs.run(x, n, self.e)
+        self._run, self._last = run + n - 1, x + n - 1
+        return self._vals[0]
 
 
 class ReplayOracle(PowerOracle):

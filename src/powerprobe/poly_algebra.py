@@ -7,6 +7,8 @@ coefficient tuple.  All types are immutable and kept in canonical form.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 
 from .ff_core import DomainError, PrimeFieldCtx, is_prime
 
@@ -83,44 +85,58 @@ def _eval(a, x, p):
     return acc
 
 
-def _eval_run(a, x0, count, p):
-    """The values a(x0), a(x0 + 1), ..., a(x0 + count - 1) for 0 <= x0 and
-    count <= p - x0.
+def _pack(seq, width):
+    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in seq]), "little")
 
-    With the forward differences D_k = Delta^k a(x0), k <= d = deg a,
-    a(x0 + t) = sum_k binom(t, k) D_k = t! * sum_k (D_k / k!) * (1 / (t-k)!),
-    one convolution of the sequences D_k / k! and 1 / j!.  It needs t! to be
-    invertible, t < p, which count <= p - x0 ensures.  The convolution is one
-    big-integer product of the two sequences packed into slots wide enough
-    for (d+1)(p-1)^2, so no slot carries into the next.  Short runs of at
-    most 2(d+1) points use Horner's rule.
+
+class _RunEvaluator:
+    """`run(x0, count, e)` is a(x0 + t)^e for t < count, 0 <= x0, count <= p - x0.
+
+    With D_k = Delta^k a(x0), k <= d = deg a, a(x0 + t) = sum_k binom(t, k) D_k
+    = t! * sum_k (D_k / k!) * (1 / (t-k)!): one convolution, computed as one
+    big-integer product in slots of whole 64-bit words, wide enough for
+    (d+1)(p-1)^2 so that none carries into the next.  One-word slots are read
+    back with one array cast.  t < p keeps t! invertible.  The tables of t!,
+    1/t! and the packed 1/j! depend only on t, so they are built once, grow
+    as prefixes and are masked to each run.  Runs of at most 2(d+1) points
+    use Horner's rule.
     """
-    if x0 < 0 or count > p - x0:
-        raise DomainError("the run must stay inside [0, p)")
-    d = max(len(a) - 1, 0)
-    if count <= 2 * (d + 1):
-        return [_eval(a, x0 + t, p) for t in range(count)]
-    diffs = [_eval(a, x0 + t, p) for t in range(d + 1)]
-    for k in range(1, d + 1):
-        for j in range(d, k - 1, -1):
-            diffs[j] = (diffs[j] - diffs[j - 1]) % p
-    fact = [1] * count
-    for t in range(1, count):
-        fact[t] = fact[t - 1] * t % p
-    inv_fact = [0] * count
-    inv_fact[-1] = pow(fact[-1], -1, p)
-    for t in range(count - 1, 0, -1):
-        inv_fact[t - 1] = inv_fact[t] * t % p
-    width = (2 * p.bit_length() + (d + 1).bit_length() + 7) // 8
 
-    def pack(seq):
-        return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in seq]), "little")
+    __slots__ = ("a", "p", "width", "fact", "inv_fact", "packed")
 
-    prod = pack([D * inv_fact[k] % p for k, D in enumerate(diffs)]) * pack(inv_fact)
-    raw = prod.to_bytes(width * (count + d + 1), "little")
-    unpack = int.from_bytes
-    return [unpack(raw[i:i + width], "little") * f % p
-            for i, f in zip(range(0, width * count, width), fact)]
+    def __init__(self, a, p):
+        self.a, self.p, self.fact, self.inv_fact, self.packed = tuple(a), p, [1], [1], 1
+        self.width = (2 * p.bit_length() + len(a).bit_length() + 63) // 64 * 8  # bytes a slot
+
+    def run(self, x0, count, e=1):
+        a, p, d, width, fact = self.a, self.p, len(self.a) - 1, self.width, self.fact
+        if x0 < 0 or count > p - x0:
+            raise DomainError("the run must stay inside [0, p)")
+        if count <= 2 * (d + 1):
+            return [pow(_eval(a, x0 + t, p), e, p) for t in range(count)]
+        m = len(fact)
+        if count > m:  # grow the tables to t < count
+            for t in range(m, count):
+                fact.append(fact[-1] * t % p)
+            new = [pow(fact[-1], -1, p)] * (count - m)
+            for t in range(count - 1, m, -1):
+                new[t - 1 - m] = new[t - m] * t % p
+            self.inv_fact += new
+            self.packed |= _pack(new, width) << 8 * width * m
+        diffs = [_eval(a, x0 + t, p) for t in range(d + 1)]
+        for k in range(1, d + 1):
+            for j in range(d, k - 1, -1):
+                diffs[j] = (diffs[j] - diffs[j - 1]) % p
+        mask = (1 << 8 * width * count) - 1
+        newton = _pack([D * i % p for D, i in zip(diffs, self.inv_fact)], width)
+        raw = (newton * (self.packed & mask) & mask).to_bytes(width * count, "little")
+        if width == 8:
+            slots = array("Q", raw)
+            if sys.byteorder == "big":
+                slots.byteswap()
+        else:
+            slots = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+        return [pow(v * f % p, e, p) for v, f in zip(slots, fact)]
 
 
 class Poly:

@@ -264,6 +264,28 @@ class TestInterpCountStrategies:
         with pytest.raises(BudgetExceededError):
             bounds_lab._interp_count_coeff([1, 2], [1, 1], 4, 2, ctx, budget=1000)
 
+    def test_coefficient_cell_within_default_budget(self):
+        # f(0)^2 = 49 and f(1)^2 = 81 with f monic of degree <= 3 over F_401:
+        # c0 = +-7 and 1 + c2 + c1 + c0 = +-9 leave 4p cubics, 4 quadratics
+        # and no line, so 4p + 4 = 1608.  The coefficient counter solves for
+        # c0, so it is priced at p^2 (e+1) nodes, not p^3 nodes.
+        p, ctx = 401, PrimeFieldCtx(401)
+        assert count_interpolating_polynomials([0, 1], [49, 81], 2, 3, ctx) == 4 * p + 4
+        # two nodes are too few for the labeling strategy, so the second
+        # counter agrees on four nodes, where it is the coefficient one
+        with pytest.raises(DomainError):
+            count_interpolating_polynomials_alt([0, 1], [49, 81], 2, 3, ctx)
+        f = Poly(p, [7, 5, 100, 1])
+        xs = [0, 1, 2, 3]
+        As = [pow(f(x), 2, p) for x in xs]
+        assert (count_interpolating_polynomials(xs, As, 2, 3, ctx)
+                == count_interpolating_polynomials_alt(xs, As, 2, 3, ctx) >= 1)
+
+    def test_oversized_coefficient_cell_refused(self):
+        ctx = PrimeFieldCtx(65537)
+        with pytest.raises(BudgetExceededError):
+            count_interpolating_polynomials([0, 1], [1, 1], 2, 3, ctx)
+
 
 class TestBudget:
     def test_explicit_budget_refused(self):

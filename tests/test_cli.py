@@ -1,8 +1,14 @@
 """CLI subcommands: exit codes, JSON payloads, file outputs."""
 
+import contextlib
+import io
 import json
+import os
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powerprobe.cli import main
 from powerprobe.oracle import (LocalPowerOracle, read_instance,
@@ -316,3 +322,99 @@ class TestTopLevel:
             out = capsys.readouterr().out
             if out.strip():
                 json.loads(out)
+
+
+# Flags of each subcommand, with the values each takes (None: no value);
+# -h/--help is left out, since it prints argparse's help text.  Values are
+# mostly small and valid, so that most calls get past the checks, and
+# sometimes garbage.
+_GARBAGE = ["x", "-7", "1e3", "0x10", "1/0", "nan", "99999999999999999999", "-", "--", "--p", ""]
+_INTS = {"--p": [2, 13, 31, 101, 1009, 12], "--e": [1, 2, 3, 4, 5, 6, 0], "--d": [1, 2, 3, 0, 40],
+         "--seed": [0, 1, 2, -1], "--n": [1, 2, 3, 0, -1], "--m-cap": [1, 2, 8, 64, 0]}
+_FRACS = ["1", "1/2", "3/2", "0", "-1", "2", "1/0", "x", ""]
+_COMMON = ("--p", "--e", "--d", "--seed")
+_CLI_FLAGS = {
+    "gen": _COMMON + ("--with-g", "--equal-g", "--require-square-free",
+                      "--require-non-pp-ratio", "--redact", "--out"),
+    "identity": _COMMON + ("--instance", "--c1", "--c2", "--equal-g",
+                           "--require-non-pp-ratio", "--save-transcript"),
+    "interpolate": _COMMON + ("--instance", "--transcript", "--c1", "--c2", "--c3", "--n",
+                              "--m-cap", "--force", "--save-transcript"),
+    "sweep": ("--grid", "--out"),
+    "roots": ("--p", "--e", "--n", "VALUE"),
+    "window": ("--p", "--e", "--d", "--c1", "--c2"),
+}
+_SWITCHES = {"--with-g", "--equal-g", "--require-square-free", "--require-non-pp-ratio",
+             "--redact", "--force"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Input files of every kind, valid and not, and places to write to."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inst = LocalPowerOracle(13, 3, Poly(13, [2, 1]))
+    for x in range(5):
+        inst.query(x)
+    write_transcript(inst, root / "t.jsonl")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for name, flag in (("inst.json", "--with-g"), ("redacted.json", "--redact")):
+            main(["gen", "--p", "13", "--e", "3", "--d", "2", "--seed", "1", flag,
+                  "--out", str(root / name)])
+    (root / "grid.json").write_text(json.dumps(
+        {"primes": [13, 12], "e_divisor_policy": {"max": 4}, "d_range": [1, 2],
+         "experiments": ["value_set", "interpolating_count"], "seed": 1}))
+    (root / "junk.json").write_text("{ not json")
+    (root / "list.json").write_text("[1, 2]")
+    inputs = [str(root / name) for name in ("t.jsonl", "inst.json", "redacted.json",
+                                            "grid.json", "junk.json", "list.json", "missing")]
+    inputs.append(str(root))  # a directory
+    outputs = [str(root / "out"), str(root / "no" / "such" / "dir"), str(root)]
+    return inputs, outputs
+
+
+@st.composite
+def cli_argvs(draw, inputs, outputs):
+    def value(flag):
+        # paths come from the fixture's files only, so nothing is written
+        # outside its directory
+        paths = {"--instance": inputs, "--transcript": inputs, "--grid": inputs,
+                 "--out": outputs, "--save-transcript": outputs}
+        if flag in paths:
+            return draw(st.sampled_from(paths[flag]))
+        if draw(st.integers(0, 19)) == 0:
+            return draw(st.sampled_from(_GARBAGE))
+        if flag in _INTS or flag == "VALUE":
+            return str(draw(st.sampled_from(_INTS.get(flag, [0, 1, 3, 9, 12]))))
+        return draw(st.sampled_from(_FRACS))
+
+    cmd = draw(st.sampled_from(sorted(_CLI_FLAGS) + ["nope", "--p"]))
+    flags = _CLI_FLAGS.get(cmd, ())
+    argv = [cmd]
+    for flag in draw(st.permutations(flags)):
+        # the flags most commands need are there nine times in ten
+        if draw(st.integers(0, 9)) < (9 if flag in _COMMON + ("VALUE", "--grid", "--out") else 5):
+            if flag != "VALUE":
+                argv.append(flag)
+            if flag not in _SWITCHES:
+                argv.append(value(flag))
+    if draw(st.integers(0, 9)) == 0:  # a stray token
+        argv.append(draw(st.sampled_from(_GARBAGE + list(flags))))
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_json_line_and_typed_exit(self, fuzz_files, data):
+        argv = data.draw(cli_argvs(*fuzz_files))
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"POWERPROBE_BUDGET": "20000"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        # one JSON object on one line; only gen without --out prints the
+        # instance file itself, an indented JSON object
+        if not (argv[0] == "gen" and code == 0):
+            assert len(out.getvalue().splitlines()) == 1, (argv, out.getvalue())
+        assert isinstance(json.loads(out.getvalue()), dict), argv
+        assert "Traceback" not in err.getvalue(), argv

@@ -87,44 +87,75 @@ class HornerOracle(PowerOracle):
         return pow(acc, self.e, self.p)
 
 
+def assert_matches_horner(p, e, coeffs, xs):
+    local = LocalPowerOracle(p, e, Poly(p, coeffs))
+    ref = HornerOracle(p, e, coeffs)
+    assert [local.query(x) for x in xs] == [ref.query(x) for x in xs]
+    assert local.transcript == ref.transcript
+    assert local.query_count == ref.query_count == len(xs)
+    assert local.has_repeated_queries == ref.has_repeated_queries
+
+
 @st.composite
-def query_sequences(draw, p, block):
-    # scans crossing several block boundaries, jumps, repeats of an earlier
-    # point, descending runs and scans that end at p - 1
+def query_sequences(draw, p, cap):
+    # scans long enough to cross several growing blocks and reach the cap,
+    # jumps, repeats of an earlier point, scans that restart inside an
+    # earlier one, descending runs and scans that end at p - 1
     xs = []
     for _ in range(draw(st.integers(1, 6))):
-        kind = draw(st.sampled_from(["scan", "jump", "repeat", "down", "tail"]))
-        if kind == "scan":
-            start = draw(st.integers(0, p - 1))
-            length = draw(st.integers(1, 4 * block + 3))
+        kind = draw(st.sampled_from(["scan", "jump", "repeat", "back", "down", "tail"]))
+        if kind in ("repeat", "back") and not xs:
+            kind = "jump"
+        if kind in ("scan", "back"):
+            start = draw(st.integers(0, p - 1) if kind == "scan" else st.sampled_from(xs))
+            length = draw(st.one_of(st.integers(1, 4 * cap + 3),
+                                    st.integers(2 * cap, 4 * cap + 3)))
             xs += range(start, min(p, start + length))
-        elif kind == "jump" or (kind == "repeat" and not xs):
+        elif kind == "jump":
             xs.append(draw(st.integers(0, p - 1)))
         elif kind == "repeat":
             xs.append(draw(st.sampled_from(xs)))
         elif kind == "down":
             start = draw(st.integers(0, p - 1))
-            xs += range(start, max(-1, start - draw(st.integers(1, 2 * block))), -1)
+            xs += range(start, max(-1, start - draw(st.integers(1, 2 * cap))), -1)
         else:
-            xs += range(max(0, p - draw(st.integers(1, 3 * block))), p)
+            xs += range(max(0, p - draw(st.integers(1, 3 * cap))), p)
     return xs
 
 
 class TestBlockedScans:
-    @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([(101, 5), (257, 16), (7681, 3), (65537, 4)]),
-           st.integers(0, 4), st.data())
+    # Slots of one word at the small primes, two at 2^61 - 1 and at
+    # 2^62 - 57 with d <= 8, and three at 2^62 - 57 with d = 15
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([(101, 5), (257, 16), (7681, 3), (65537, 4),
+                            (2 ** 61 - 1, 231), (2 ** 62 - 57, 18)]),
+           st.one_of(st.just(15), st.integers(0, 8)), st.data())
     def test_matches_horner_oracle(self, pe, d, data):
         p, e = pe
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
         coeffs[-1] = coeffs[-1] or 1
-        xs = data.draw(query_sequences(p, 16 * (d + 1)))
-        local = LocalPowerOracle(p, e, Poly(p, coeffs))
-        ref = HornerOracle(p, e, coeffs)
-        assert [local.query(x) for x in xs] == [ref.query(x) for x in xs]
-        assert local.transcript == ref.transcript
-        assert local.query_count == ref.query_count == len(xs)
-        assert local.has_repeated_queries == ref.has_repeated_queries
+        assert_matches_horner(p, e, coeffs, data.draw(query_sequences(p, 64 * (d + 1))))
+
+    def test_three_word_slots_reach_the_cap(self):
+        # blocks of 129, 258, 516 and then 1024 = 64(d+1) points, a jump
+        # back into the current block and into an earlier one, and a scan
+        # whose last block is cut at p - 1
+        p, e, d = 2 ** 62 - 57, 18, 15
+        coeffs = [pow(7, k, p) for k in range(d)] + [1]
+        xs = list(range(5, 3005)) + [2500, 700] + list(range(p - 1500, p))
+        assert_matches_horner(p, e, coeffs, xs)
+
+    def test_equal_pair_matches_horner_oracles(self):
+        p, e, d = 65537, 4, 40
+        inst = gen_instance(p, e, d, 7, equal_g=True)
+        window = compute_window(p, e, d)
+        of, og = make_oracle(inst, "f"), make_oracle(inst, "g")
+        rf, rg = HornerOracle(p, e, inst.f.coeffs), HornerOracle(p, e, inst.g.coeffs)
+        verdict, ref = identity_test(of, og, window), identity_test(rf, rg, window)
+        assert not verdict.different and verdict.witness is None
+        assert verdict.queries == ref.queries == 2 * window.H
+        assert of.query_count == og.query_count == window.H
+        assert of.transcript == rf.transcript and og.transcript == rg.transcript
 
     def test_identity_witness_at_one_costs_two_queries(self):
         p, e = 65537, 4

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from powerprobe.ff_core import DomainError, PrimeFieldCtx, is_prime
 from powerprobe.poly_algebra import (BiPoly, DegenerateResultantError, Poly,
-                                     RationalFn, _eval_run, _general_roots,
+                                     RationalFn, _RunEvaluator, _general_roots,
                                      divisible_by_torsion,
                                      is_square_free, lagrange_basis,
                                      lagrange_interpolate,
@@ -179,17 +179,22 @@ class TestEvalRun:
            st.integers(0, 50), st.data())
     def test_equals_horner(self, p, d, data):
         coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
-        # x0 anywhere, or close enough to p - 1 that the run ends there
-        x0 = data.draw(st.one_of(st.integers(0, p - 1),
-                                 st.integers(max(0, p - 300), p - 1)))
-        count = data.draw(st.integers(0, min(p - x0, 300)))
         f = Poly(p, coeffs)
-        assert _eval_run(coeffs, x0, count, p) == [f(x0 + t) for t in range(count)]
+        runs = _RunEvaluator(coeffs, p)
+        # several runs of one evaluator, so that its tables grow and are
+        # masked to runs shorter than they are
+        for _ in range(data.draw(st.integers(1, 3))):
+            # x0 anywhere, or close enough to p - 1 that the run ends there
+            x0 = data.draw(st.one_of(st.integers(0, p - 1),
+                                     st.integers(max(0, p - 300), p - 1)))
+            count = data.draw(st.integers(0, min(p - x0, 300)))
+            e = data.draw(st.sampled_from([1, 2, 3]))
+            assert runs.run(x0, count, e) == [pow(f(x0 + t), e, p) for t in range(count)]
 
     def test_whole_field(self):
         f = Poly(13, [5, 0, 3, 1])
-        assert _eval_run(f.coeffs, 0, 13, 13) == [f(x) for x in range(13)]
-        assert _eval_run((), 2, 11, 13) == [0] * 11
+        assert _RunEvaluator(f.coeffs, 13).run(0, 13) == [f(x) for x in range(13)]
+        assert _RunEvaluator((), 13).run(2, 11) == [0] * 11
 
     def test_largest_convolution_terms(self):
         # Newton coefficients D_k / k! = p - 1 make every product in the
@@ -198,13 +203,14 @@ class TestEvalRun:
         newton = [(p - 1) * math.factorial(k) for k in range(d + 1)]
         f = lagrange_interpolate(p, [(x0 + t, sum(math.comb(t, k) * D for k, D in enumerate(newton)))
                                      for t in range(d + 1)])
-        assert _eval_run(f.coeffs, x0, 400, p) == [f(x0 + t) for t in range(400)]
+        assert _RunEvaluator(f.coeffs, p).run(x0, 400) == [f(x0 + t) for t in range(400)]
 
     def test_rejects_run_past_p(self):
+        runs = _RunEvaluator((1, 1), 13)
         with pytest.raises(DomainError):
-            _eval_run((1, 1), 5, 9, 13)
+            runs.run(5, 9)
         with pytest.raises(DomainError):
-            _eval_run((1, 1), -1, 2, 13)
+            runs.run(-1, 2)
 
 
 class TestSquareFree:
