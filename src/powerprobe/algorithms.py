@@ -8,11 +8,11 @@ roots, then filter candidates down to one via extra points, a square-free
 check and identity tests.  Each pair keeps every e-th root of its answer
 ratio, so its root set always holds the true ratio f(x)/f(x+h).
 
-Step 2 walks root choices pair by pair.  A pair's rows w - y*u form a pencil,
-so a node reduces u and w once instead of one row per root; once the basis
-has rank d-1 the remaining pairs are solved on the line of solutions it
-leaves.  The walk has about e^(d-1) nodes and charges each one against the
-operation budget (BudgetExceededError).
+Step 2 walks root choices pair by pair in about e^(d-1) nodes, each charged
+against the operation budget (BudgetExceededError).  A chain of pairs at
+x_0, x_0 + h, ... is solved in value space, with finite differences and one
+set intersection per leaf; any other group takes the basis walk, with pencil
+rows w - y*u and a line solve at rank d-1.
 """
 
 from __future__ import annotations
@@ -20,11 +20,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from operator import mul
 
 from .ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, _budget, iroot
 from .oracle import CachingOracle, LocalPowerOracle, PowerOracle
-from .poly_algebra import Poly, is_square_free, lagrange_interpolate, poly_power_root
+from .poly_algebra import (Poly, is_square_free, lagrange_basis, lagrange_interpolate,
+                           poly_power_root)
 
 
 class AlgorithmError(RuntimeError):
@@ -362,27 +364,62 @@ def _line_points(basis, rest, d, p):
     return []
 
 
-def step2_candidates(group: PairGroup, d: int, p: int,
-                     rank_log: RankLog | None = None) -> CandidateSet:
-    """Enumerate monic degree-d polynomials from the group's root choices.
+def _chain_solve(group, d, p, rank_log, limit):
+    """Candidates of a chain group, solved in value space.
 
-    Backtracking over the group's pairs: each pair contributes one equation
-    f(x) = y * f(x+h) for a y in its root set, and only rank-increasing
-    equations enter the system.  A pair is skipped only when some y keeps the
-    rank consistently.  The rows of a pair form the pencil w - y*u, so each
-    node reduces u and w once and reads every root's row off the pair.  At
-    rank d-1 the remaining solutions form a line, and the remaining pairs are
-    solved on it directly (`_line_points`).  The result is every full-rank
-    solution f whose ratio f(x)/f(x+h) lies in each pair's root set; an f
-    with f(x) = f(x+h) = 0 at some pair is not one of them.
-
-    Each node charges about (d+1)(3 rank + e) field operations against the
-    operation budget (`POWERPROBE_BUDGET`, default DEFAULT_BUDGET), and the
-    walk raises BudgetExceededError once the charge passes it.
+    With F_j = f(x_0 + jh), pair k says F_k = y_k F_{k+1}, and a degree-d f
+    has F_{s+d+1} = sum_{j<=d} mu_j F_{s+j}, mu_j = (-1)^(d-j) C(d+1, j).
+    No F_j is zero: scale F_{d-1} = 1 and walk y_{d-2}..y_0 depth first.  At
+    a leaf F_{d+1}/F_d = alpha y_{d-1} + mu_d, alpha = sum_{j<d} mu_j F_j, and
+    pair d holds when that lies in 1/R_d: one set intersection finds the
+    y_{d-1} that hold (all or none when alpha = 0).  Survivors are checked on
+    the rest of the chain and read off F_0..F_d through the Lagrange basis.
+    Each node charges what a pencil node at its depth does.
     """
-    if rank_log is None:
-        rank_log = RankLog()
-    limit = _budget(None)
+    roots = [frozenset(pr.roots) for pr in group.pairs]
+    mu = [(-1) ** (d - j) * comb(d + 1, j) % p for j in range(d + 1)]
+    cols = list(zip(*(b.coeffs for b in lagrange_basis(p, [pr.x for pr in group.pairs[:d + 1]]))))
+    last, md = roots[d - 1], mu[d]
+    inv_next = {pow(y, -1, p) for y in roots[d]}
+    cost = [(d + 1) * (3 * (d - 1 - k) + len(roots[d - 1 - k])) for k in range(d)]
+    F = [0] * d
+    found = set()
+    spent = 0
+    stack = [(d - 1, 1, mu[d - 1])]  # k, F_k, sum of mu_j F_j over k <= j < d
+    while stack:
+        k, fk, part = stack.pop()
+        spent += cost[k]
+        if spent > limit:
+            raise BudgetExceededError("budget: step 2 walk passed %d ops" % limit)
+        rank_log.events += 1
+        F[k] = fk
+        if k:
+            m = mu[k - 1]
+            stack.extend((k - 1, f, (part + m * f) % p) for f in [y * fk % p for y in roots[k - 1]])
+            continue
+        hits = inv_next.intersection([(part * y + md) % p for y in last])
+        for y in last if hits else ():
+            z = (part * y + md) % p
+            if z not in hits:
+                continue
+            vals = [v * y % p for v in F] + [1, z]  # F_0..F_(d+1), scaled to F_d = 1
+            for k in range(d + 1, len(roots)):
+                nxt = sum(map(mul, mu, vals[k - d:])) % p
+                if not nxt or vals[k] * pow(nxt, -1, p) % p not in roots[k]:
+                    break
+                vals.append(nxt)
+            else:
+                lead = sum(map(mul, cols[d], vals)) % p
+                if lead:  # else f has degree below d
+                    inv = pow(lead, -1, p)
+                    found.add(tuple(sum(map(mul, c, vals)) * inv % p for c in cols[:d]) + (1,))
+    return found
+
+
+def _pencil_walk(group, d, p, rank_log, limit):
+    """Candidates of any group: backtracking over a basis that only
+    rank-increasing equations enter, with pencil rows w - y*u (`_pencil`)
+    and a line solve at rank d-1 (`_line_points`)."""
     spent = 0
     pairs = []
     for pr in group.pairs:
@@ -417,9 +454,32 @@ def step2_candidates(group: PairGroup, d: int, p: int,
             stack.append((idx + 1, _extend_basis(basis, row, pivot, p)))
     # a pair whose two points are both zeros of f holds for every root; the
     # hidden polynomial never vanishes at a pair point, so such f are dropped
-    polys = [Poly(p, c) for c in sorted(found)]
-    return CandidateSet([f for f in polys
-                         if all(f(pr.x + pr.h) for pr in group.pairs)], rank_log)
+    polys = [Poly(p, c) for c in found]
+    return {f.coeffs for f in polys if all(f(pr.x + pr.h) for pr in group.pairs)}
+
+
+def step2_candidates(group: PairGroup, d: int, p: int,
+                     rank_log: RankLog | None = None) -> CandidateSet:
+    """Enumerate monic degree-d polynomials from the group's root choices.
+
+    The result is every monic degree-d f that the pair equations
+    f(x) = y f(x+h) fix and whose ratio f(x)/f(x+h) lies in each pair's root
+    set; an f with f(x) = f(x+h) = 0 at some pair is not one of them.  A
+    chain, where every pair starts where the one before it ends (step 1 with
+    n = 1 unless f has a root in its window), goes to `_chain_solve`, any
+    other group to `_pencil_walk`; on a chain both give the same candidates
+    from the same number of nodes, about e^(d-1).
+
+    Each node charges about (d+1)(3 depth + e) field operations against the
+    operation budget (`POWERPROBE_BUDGET`, default DEFAULT_BUDGET), and the
+    walk raises BudgetExceededError once the charge passes it.
+    """
+    if rank_log is None:
+        rank_log = RankLog()
+    prs = group.pairs
+    chain = len(prs) > d and all(b.x == a.x + group.h for a, b in zip(prs, prs[1:]))
+    found = (_chain_solve if chain else _pencil_walk)(group, d, p, rank_log, _budget(None))
+    return CandidateSet([Poly(p, c) for c in sorted(found)], rank_log)
 
 
 # ---------- interpolation: step 3 ----------

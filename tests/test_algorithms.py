@@ -1,14 +1,16 @@
 """Identity testing, the three interpolation steps, and the full pipeline."""
 
 import itertools
+import os
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from powerprobe.algorithms import (AmbiguousCandidatesError,
+from powerprobe.algorithms import (AlgorithmError, AmbiguousCandidatesError,
                                    DishonestOracleError,
                                    InconsistentOracleError, NoValidMError,
                                    RankLog, WindowEmptyError, WindowParams,
@@ -16,10 +18,12 @@ from powerprobe.algorithms import (AmbiguousCandidatesError,
                                    interpolate, naive_power_interpolate,
                                    regime_condition_holds, step1_collect,
                                    step2_candidates, step3_filter)
+from powerprobe.algorithms import _chain_solve, _pencil_walk
 from powerprobe.ff_core import (BudgetExceededError, DomainError,
                                 PrimeFieldCtx, iroot, is_prime)
-from powerprobe.oracle import (CachingOracle, LocalPowerOracle, ReplayOracle,
-                               gen_instance, make_oracle)
+from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
+                               PowerOracle, ReplayOracle, gen_instance,
+                               make_oracle)
 from powerprobe.poly_algebra import Poly
 
 
@@ -262,6 +266,27 @@ def brute_group_consistent(group, d, p):
     return out
 
 
+PRIMES = [q for q in range(3, 10010) if is_prime(q)]
+
+
+def is_chain(group):
+    return all(b.x == a.x + group.h for a, b in zip(group.pairs, group.pairs[1:]))
+
+
+def small_step1(p, e, d, n, root, seed):
+    # step 1 on a random monic f of degree d, with f(root) = 0 unless root is
+    # None; None when step 1 finds no shift with enough blocks
+    if root is None:
+        f = gen_instance(p, e, d, seed=seed).f
+    else:
+        rest = gen_instance(p, e, d - 1, seed=seed).f if d > 1 else Poly(p, [1])
+        f = rest * Poly(p, [-root, 1])
+    try:
+        return step1_collect(CachingOracle(make_oracle(InstanceSpec(p, e, d, f))), d, n)
+    except DishonestOracleError:
+        return None
+
+
 class TestStep2:
     def test_candidates_cover_brute_set(self):
         for seed in range(6):
@@ -309,22 +334,75 @@ class TestStep2:
             step2_candidates(s1.groups[0], 2, 13, rank_log=log)
             assert log.violations == 0
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_equals_brute_at_small_p(self, data):
-        # every e | p - 1 with e >= 2 at p <= 31, d <= 3, random instances
+        # every e | p - 1 with e >= 2 at p <= 31, d <= 3, n in {1, 2, 3} among
+        # the divisors of p - 1, and f with or without a root in the step-1
+        # window, so that groups which are not chains reach the basis walk
         p = data.draw(st.sampled_from([q for q in range(3, 32) if is_prime(q)]))
         e = data.draw(st.sampled_from([k for k in range(2, p) if (p - 1) % k == 0]))
         d = data.draw(st.integers(1, min(3, (p - 1) // 2)))
-        seed = data.draw(st.integers(0, 10 ** 6))
-        spec = gen_instance(p, e, d, seed=seed)
-        s1 = step1_collect(CachingOracle(make_oracle(spec)), d)
-        assume(s1.groups)
+        n = data.draw(st.sampled_from([k for k in (1, 2, 3) if (p - 1) % k == 0
+                                       and (2 * d - 1) * k * k + k < p]))
+        root = data.draw(st.none() | st.integers(0, (2 * d - 1) * n * n + n))
+        s1 = small_step1(p, e, d, n, root, data.draw(st.integers(0, 10 ** 6)))
+        assume(s1 is not None and s1.groups)
         group, = s1.groups
         cand = step2_candidates(group, s1.d_rem, p)
         assert cand.polys == sorted(brute_group_consistent(group, s1.d_rem, p),
                                     key=lambda q: q.coeffs)
         assert cand.rank.violations == 0
+
+    def test_draws_include_non_chain_groups(self):
+        # the draws of test_equals_brute_at_small_p reach the basis walk: a
+        # root inside the window, or n > 1, leaves groups that are not chains
+        walked = 0
+        for (p, e, d, n, root), seed in itertools.product(
+                [(31, 3, 3, 1, 3), (31, 2, 3, 1, 4), (31, 3, 2, 2, None),
+                 (31, 6, 2, 2, None), (13, 2, 1, 2, None)], range(3)):
+            s1 = small_step1(p, e, d, n, root, seed)
+            if s1 is None or not s1.groups or is_chain(s1.groups[0]):
+                continue
+            walked += 1
+            cand = step2_candidates(s1.groups[0], s1.d_rem, p)
+            assert cand.polys == sorted(brute_group_consistent(s1.groups[0], s1.d_rem, p),
+                                        key=lambda q: q.coeffs)
+        assert walked >= 10
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_chain_solve_equals_pencil_walk(self, data):
+        # step-1 groups at p <= 10009, e | p - 1, d <= 4 and e^d <= 2*10^4;
+        # p = 7 and 13 with e = p - 1 give leaves where alpha = 0
+        p, e = data.draw(st.sampled_from([(7, 6), (13, 12)]) | st.sampled_from(PRIMES).flatmap(
+            lambda q: st.tuples(st.just(q), st.sampled_from(
+                [k for k in range(2, q) if (q - 1) % k == 0]))))
+        d_max = 3 if p <= 31 else 4  # brute force below stays at p^d <= 31^3
+        d = data.draw(st.integers(1, d_max).filter(lambda k: e ** k <= 2 * 10 ** 4 and 2 * k < p))
+        spec = gen_instance(p, e, d, seed=data.draw(st.integers(0, 10 ** 6)))
+        s1 = step1_collect(CachingOracle(make_oracle(spec)), d)
+        assume(s1.groups and is_chain(s1.groups[0]))  # else f has a root at x <= 2d
+        group, = s1.groups
+        chain, walk = RankLog(), RankLog()
+        got = _chain_solve(group, s1.d_rem, p, chain, 10 ** 12)
+        assert got == _pencil_walk(group, s1.d_rem, p, walk, 10 ** 12)
+        assert chain.events == walk.events
+        if p <= 31:
+            assert got == {f.coeffs for f in brute_group_consistent(group, s1.d_rem, p)}
+
+    def test_chain_keeps_every_root_when_alpha_vanishes(self):
+        # e = p - 1: every pair keeps all of F_7^*, so every monic quadratic
+        # with no root at x = 0..4 is a candidate; at a leaf with alpha = 0
+        # every y holds, and none of the 24 may be lost
+        spec = gen_instance(7, 6, 2, seed=0)
+        s1 = step1_collect(CachingOracle(make_oracle(spec)), 2)
+        group, = s1.groups
+        assert is_chain(group) and s1.d_rem == 2
+        cand = step2_candidates(group, 2, 7)
+        brute = brute_group_consistent(group, 2, 7)
+        assert len(brute) == 24
+        assert cand.polys == sorted(brute, key=lambda q: q.coeffs)
 
     def test_line_solve_bounds_nodes(self):
         # pencil nodes below rank d-1 and one line node per rank d-1 basis:
@@ -515,6 +593,57 @@ class TestInterpolate:
         spec = gen_instance(13, 3, 2, seed=1, require_square_free=True)
         with pytest.raises(NoValidMError):
             interpolate(CachingOracle(make_oracle(spec)), 2)
+
+
+class RandomPowerOracle(PowerOracle):
+    """Answers each x with a random nonzero e-th power, or 0."""
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, p, e, seed):
+        super().__init__(p, e)
+        self._rng = random.Random(seed)
+
+    def _answer(self, x):
+        if self._rng.random() < 0.05:
+            return 0
+        return pow(self._rng.randrange(1, self.p), self.e, self.p)
+
+
+class TestAdversarialOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_typed_error_or_consistent_answer(self, data):
+        # random e-th powers, or a truncated or shuffled honest transcript:
+        # interpolate raises a typed error or returns a monic degree-d f
+        # whose e-th powers match every answer it received
+        p = data.draw(st.sampled_from([13, 31, 37, 61, 101, 211]))
+        e = data.draw(st.sampled_from([k for k in range(2, p) if (p - 1) % k == 0]))
+        d = data.draw(st.integers(1, 3))
+        seed = data.draw(st.integers(0, 10 ** 6))
+        kind = data.draw(st.sampled_from(["random", "truncated", "shuffled"]))
+        typed = (DomainError, AlgorithmError, BudgetExceededError)
+        with mock.patch.dict(os.environ, {"POWERPROBE_BUDGET": "200000"}):
+            if kind == "random":
+                inner = RandomPowerOracle(p, e, seed)
+            else:
+                honest = CachingOracle(make_oracle(gen_instance(p, e, d, seed)))
+                try:
+                    interpolate(honest, d)
+                except typed:
+                    pass
+                xs, answers = zip(*honest.transcript)
+                if kind == "truncated":
+                    answers = answers[:data.draw(st.integers(0, len(xs) - 1))]
+                else:
+                    answers = data.draw(st.permutations(answers))
+                inner = ReplayOracle(p, e, dict(zip(xs, answers)))
+            try:
+                res = interpolate(CachingOracle(inner), d)
+            except typed:
+                return
+        assert res.poly.degree == d and res.poly.is_monic
+        assert all(pow(res.poly(x), e, p) == a for x, a in inner.transcript)
 
 
 class TestNaive:
