@@ -175,8 +175,7 @@ class Step1Result:
     groups: tuple[PairGroup, ...]
 
 
-def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
-                  ctx: PrimeFieldCtx | None = None) -> Step1Result:
+def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
     """Query x = 0..(2d-1)n^2+n and assemble shifted pairs with root sets.
 
     Zero answers are roots of the hidden polynomial; they are divided out and
@@ -195,8 +194,7 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1,
     top = (2 * d - 1) * n * n + n
     if top >= p:
         raise DomainError("query range must fit below p")
-    if ctx is None:
-        ctx = PrimeFieldCtx(p)
+    ctx = PrimeFieldCtx(p)
     answers = {x: oracle.query(x) for x in range(top + 1)}
     zeros = tuple(sorted(x for x, a in answers.items() if a == 0))
     if len(zeros) > d:
@@ -277,34 +275,6 @@ def _extend_basis(basis, row, pivot, p):
     out.append((pivot, row))
     out.sort()
     return out
-
-
-def _pencil(u, w, basis, roots, root_set, d, p):
-    """Classify the rows w - y*u of one pair against the basis.
-
-    Returns (preserving, extenders, violation): how many roots keep the rank
-    consistently, the distinct reduced rows that raise it, and whether two or
-    more roots keep it although u or w does not reduce to zero.
-    """
-    ru, rw = _reduce_row(u, basis, p), _reduce_row(w, basis, p)
-    lead = next((k for k in range(d) if ru[k]), None)
-    if lead is None and not any(rw[:d]):
-        # every root's row reduces to (0, ..., 0, rw[d] - y*ru[d])
-        if ru[d]:
-            preserving = int(rw[d] * pow(ru[d], -1, p) % p in root_set)
-        else:
-            preserving = 0 if rw[d] else len(roots)
-        extenders = []
-    else:
-        y0 = None  # the one root whose row may reduce to zero before column d
-        if lead is not None:
-            y0 = rw[lead] * pow(ru[lead], -1, p) % p
-            if y0 not in root_set or any((a - y0 * b) % p for a, b in zip(rw[:d], ru[:d])):
-                y0 = None
-        preserving = int(y0 is not None and (rw[d] - y0 * ru[d]) % p == 0)
-        ys = roots if any(ru) else roots[:1]  # u reduces to zero: one row for all y
-        extenders = [[(a - y * b) % p for a, b in zip(rw, ru)] for y in ys if y != y0]
-    return preserving, extenders, preserving >= 2 and (any(ru) or any(rw))
 
 
 def _line_points(basis, rest, d, p):
@@ -418,8 +388,9 @@ def _chain_solve(group, d, p, rank_log, limit):
 
 def _pencil_walk(group, d, p, rank_log, limit):
     """Candidates of any group: backtracking over a basis that only
-    rank-increasing equations enter, with pencil rows w - y*u (`_pencil`)
-    and a line solve at rank d-1 (`_line_points`)."""
+    rank-increasing equations enter, and a line solve at rank d-1
+    (`_line_points`).  Root y's row w - y*u reduces to rw - y*ru, so a node
+    reduces u and w once; when u reduces to zero, one root stands for all."""
     spent = 0
     pairs = []
     for pr in group.pairs:
@@ -436,7 +407,7 @@ def _pencil_walk(group, d, p, rank_log, limit):
         rank = len(basis)
         if rank + len(pairs) - idx < d:
             continue
-        u_vec, w_vec, roots, root_set = pairs[idx]
+        u_vec, w_vec, roots, _ = pairs[idx]
         spent += (d + 1) * (3 * rank + len(roots))
         if spent > limit:
             raise BudgetExceededError("budget: step 2 walk passed %d ops" % limit)
@@ -444,14 +415,18 @@ def _pencil_walk(group, d, p, rank_log, limit):
         if rank == d - 1:
             found.update(_line_points(basis, pairs[idx:], d, p))
             continue
-        preserving, extenders, violation = _pencil(u_vec, w_vec, basis, roots,
-                                                   root_set, d, p)
-        rank_log.violations += violation
-        if preserving:
+        ru, rw = _reduce_row(u_vec, basis, p), _reduce_row(w_vec, basis, p)
+        keep = 0
+        for y in roots if any(ru) else roots[:1]:
+            row = [(a - y * b) % p for a, b in zip(rw, ru)]
+            pivot = next((k for k in range(d) if row[k]), None)
+            if pivot is not None:
+                stack.append((idx + 1, _extend_basis(basis, row, pivot, p)))
+            elif not row[d]:
+                keep += 1
+        rank_log.violations += keep >= 2 and (any(ru) or any(rw))
+        if keep:
             stack.append((idx + 1, basis))
-        for row in extenders:
-            pivot = next(k for k in range(d) if row[k])
-            stack.append((idx + 1, _extend_basis(basis, row, pivot, p)))
     # a pair whose two points are both zeros of f holds for every root; the
     # hidden polynomial never vanishes at a pair point, so such f are dropped
     polys = [Poly(p, c) for c in found]
@@ -469,6 +444,12 @@ def step2_candidates(group: PairGroup, d: int, p: int,
     n = 1 unless f has a root in its window), goes to `_chain_solve`, any
     other group to `_pencil_walk`; on a chain both give the same candidates
     from the same number of nodes, about e^(d-1).
+
+    A step-1 group fixes every f it admits, so no f is lost there: its 2d
+    pairs sit at distinct x.  If g != 0 of degree < d had the same ratios as
+    f at all of them, g(x)f(x+h) - g(x+h)f(x), of degree <= 2d-1, would
+    vanish at 2d points.  Then g/f would be h-periodic, hence constant
+    (d < p), hence g = 0.  A group of fewer pairs may leave some f unfixed.
 
     Each node charges about (d+1)(3 depth + e) field operations against the
     operation budget (`POWERPROBE_BUDGET`, default DEFAULT_BUDGET), and the
@@ -561,11 +542,12 @@ class InterpolationResult:
 
 
 def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
-                m_cap: int = 64, ctx: PrimeFieldCtx | None = None) -> InterpolationResult:
+                m_cap: int = 64) -> InterpolationResult:
     """Recover the hidden monic degree-d polynomial behind a power oracle.
 
     Queries are deduplicated internally, so the reported query count is the
-    number of distinct points sent to the underlying oracle.
+    number of distinct points sent to the underlying oracle.  e = 1 takes the
+    naive route; a NoValidMError comes before the first query.
     """
     t0 = time.perf_counter()
     p, e = oracle.p, oracle.e
@@ -574,18 +556,14 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
     memo = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)
 
     if e == 1:
-        points = [(x, memo.query(x)) for x in range(d + 1)]
-        poly = lagrange_interpolate(p, points)
-        if poly.degree != d or not poly.is_monic:
-            raise InconsistentOracleError("answers do not match a monic degree-d polynomial")
+        poly = naive_power_interpolate(memo, d)
         ms = (time.perf_counter() - t0) * 1000.0
         return InterpolationResult(poly, p, e, d, n, memo.query_count, None, None,
                                    (), [poly], 1, 1, 0, 0, 0, d + 1, ms)
 
-    if ctx is None:
-        ctx = PrimeFieldCtx(p)
     window = compute_window(p, e, d, c1)
-    s1 = step1_collect(memo, d, n, ctx)
+    choose_m(p, e, m_cap)  # depends on p and e only: refuse before any query
+    s1 = step1_collect(memo, d, n)
     rank = RankLog()
     candidates = [s1.known_factor]
     if s1.groups:

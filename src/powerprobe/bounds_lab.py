@@ -33,15 +33,19 @@ def _charge(estimate: int, budget: int | None):
 
 # ---------- value sets of rational functions ----------
 
-def count_value_set_in_subgroup(psi: RationalFn, H: int, e: int,
-                                ctx: PrimeFieldCtx, budget: int | None = None) -> int:
-    """Number of distinct values psi(x), x = 1..H, landing in the order-e subgroup."""
-    p = ctx.p
+def _value_set_validate(psi, H, e, p, budget):
     if not 1 <= H <= p - 1:
         raise DomainError("H must lie in [1, p-1]")
     if (p - 1) % e != 0:
         raise DomainError("e must divide p - 1")
     _charge(H * (psi.degree + 2) + e, budget)
+
+
+def count_value_set_in_subgroup(psi: RationalFn, H: int, e: int,
+                                ctx: PrimeFieldCtx, budget: int | None = None) -> int:
+    """Number of distinct values psi(x), x = 1..H, landing in the order-e subgroup."""
+    p = ctx.p
+    _value_set_validate(psi, H, e, p, budget)
     values = set()
     for x in range(1, H + 1):
         v = psi.eval_at(x)
@@ -55,11 +59,7 @@ def count_value_set_in_subgroup_alt(psi: RationalFn, H: int, e: int,
                                     ctx: PrimeFieldCtx, budget: int | None = None) -> int:
     """Second strategy: sorted-list dedup plus power test for membership."""
     p = ctx.p
-    if not 1 <= H <= p - 1:
-        raise DomainError("H must lie in [1, p-1]")
-    if (p - 1) % e != 0:
-        raise DomainError("e must divide p - 1")
-    _charge(H * (psi.degree + 2) + e, budget)
+    _value_set_validate(psi, H, e, p, budget)
     num, den = psi.num.coeffs, psi.den.coeffs
     seen = []
     for x in range(1, H + 1):
@@ -91,10 +91,7 @@ def envelope_value_set(d: int, e: int, p: int, H: int, constant: float = 1.0) ->
 
 # ---------- curve points on products of subgroups ----------
 
-def count_curve_points_on_subgroups(F: BiPoly, e1: int, e2: int,
-                                    ctx: PrimeFieldCtx, budget: int | None = None) -> int:
-    """Zeros of F(U, V) with U in the order-e1 and V in the order-e2 subgroup."""
-    p = ctx.p
+def _curve_points_validate(F, e1, e2, p, budget):
     if F.p != p:
         raise DomainError("mixed moduli")
     if F.is_zero:
@@ -102,6 +99,13 @@ def count_curve_points_on_subgroups(F: BiPoly, e1: int, e2: int,
     if (p - 1) % e1 or (p - 1) % e2:
         raise DomainError("subgroup orders must divide p - 1")
     _charge(e1 * e2 * (F.deg_u + 1) * (F.deg_v + 1), budget)
+
+
+def count_curve_points_on_subgroups(F: BiPoly, e1: int, e2: int,
+                                    ctx: PrimeFieldCtx, budget: int | None = None) -> int:
+    """Zeros of F(U, V) with U in the order-e1 and V in the order-e2 subgroup."""
+    p = ctx.p
+    _curve_points_validate(F, e1, e2, p, budget)
     g1 = ctx.subgroup_elements(e1)
     g2 = ctx.subgroup_elements(e2)
     return sum(1 for u in g1 for v in g2 if F(u, v) == 0)
@@ -111,13 +115,7 @@ def count_curve_points_on_subgroups_alt(F: BiPoly, e1: int, e2: int,
                                         ctx: PrimeFieldCtx, budget: int | None = None) -> int:
     """Second strategy: specialize U, then scan the V subgroup per row."""
     p = ctx.p
-    if F.p != p:
-        raise DomainError("mixed moduli")
-    if F.is_zero:
-        raise DomainError("zero polynomial")
-    if (p - 1) % e1 or (p - 1) % e2:
-        raise DomainError("subgroup orders must divide p - 1")
-    _charge(e1 * e2 * (F.deg_u + 1) * (F.deg_v + 1), budget)
+    _curve_points_validate(F, e1, e2, p, budget)
     count = 0
     width = F.deg_v + 1
     for u in ctx.subgroup_elements(e1):
@@ -142,14 +140,7 @@ def envelope_curve_points(d: int, W: int, p: int, constant: float = 1.0) -> floa
 
 # ---------- shifted subgroup intersections ----------
 
-def count_shifted_subgroup_intersection(e: int, shifts, scales, ctx: PrimeFieldCtx,
-                                        budget: int | None = None) -> tuple[int, bool]:
-    """Size of G inter (mu_1 G + xi_1) inter ... for the order-e subgroup G.
-
-    Shifts must be pairwise distinct and nonzero, scales nonzero.  Also reports
-    whether the size condition on p relative to e and m held.
-    """
-    p = ctx.p
+def _shifted_validate(e, shifts, scales, p, budget):
     if (p - 1) % e != 0:
         raise DomainError("e must divide p - 1")
     shifts = [s % p for s in shifts]
@@ -162,30 +153,31 @@ def count_shifted_subgroup_intersection(e: int, shifts, scales, ctx: PrimeFieldC
         raise DomainError("shifts must be pairwise distinct")
     if any(s == 0 for s in scales):
         raise DomainError("scales must be nonzero")
-    m = len(shifts)
-    _charge(e * (m + 2), budget)
+    _charge(e * (len(shifts) + 2), budget)
+    return shifts, scales
+
+
+def count_shifted_subgroup_intersection(e: int, shifts, scales, ctx: PrimeFieldCtx,
+                                        budget: int | None = None) -> tuple[int, bool]:
+    """Size of G inter (mu_1 G + xi_1) inter ... for the order-e subgroup G.
+
+    Shifts must be pairwise distinct and nonzero, scales nonzero.  Also reports
+    whether the size condition on p relative to e and m held.
+    """
+    p = ctx.p
+    shifts, scales = _shifted_validate(e, shifts, scales, p, budget)
     sub = ctx.subgroup_elements(e)
     result = set(sub)
     for mu, xi in zip(scales, shifts):
         result &= {(mu * t + xi) % p for t in sub}
-    return len(result), shifted_condition_holds(p, e, m)
+    return len(result), shifted_condition_holds(p, e, len(shifts))
 
 
 def count_shifted_subgroup_intersection_alt(e: int, shifts, scales, ctx: PrimeFieldCtx,
                                             budget: int | None = None) -> int:
     """Second strategy: per-element membership through the power test."""
     p = ctx.p
-    if (p - 1) % e != 0:
-        raise DomainError("e must divide p - 1")
-    shifts = [s % p for s in shifts]
-    scales = [s % p for s in scales]
-    if len(shifts) != len(scales):
-        raise DomainError("shifts and scales must have equal length")
-    if any(s == 0 for s in shifts) or len(set(shifts)) != len(shifts):
-        raise DomainError("shifts must be distinct and nonzero")
-    if any(s == 0 for s in scales):
-        raise DomainError("scales must be nonzero")
-    _charge(e * (len(shifts) + 2), budget)
+    shifts, scales = _shifted_validate(e, shifts, scales, p, budget)
     inv_scales = [pow(mu, -1, p) for mu in scales]
     count = 0
     for lam in ctx.subgroup_elements(e):

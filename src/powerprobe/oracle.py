@@ -25,6 +25,13 @@ class TranscriptIncompleteError(OracleError):
     """A replayed transcript lacks the requested query point."""
 
 
+def _check_field(p: int, e: int) -> None:
+    if not is_prime(p):
+        raise DomainError("p must be prime")
+    if e < 1 or (p - 1) % e != 0:
+        raise DomainError("e must divide p - 1")
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """A concrete problem instance; f and g may be absent when redacted."""
@@ -37,10 +44,7 @@ class InstanceSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError("p must be prime")
-        if self.e < 1 or (self.p - 1) % self.e != 0:
-            raise DomainError("e must divide p - 1")
+        _check_field(self.p, self.e)
         if self.d < 1:
             raise DomainError("d must be positive")
         for poly in (self.f, self.g):
@@ -58,10 +62,7 @@ class PowerOracle:
     __slots__ = ("p", "e", "_log")
 
     def __init__(self, p: int, e: int):
-        if not is_prime(p):
-            raise DomainError("p must be prime")
-        if e < 1 or (p - 1) % e != 0:
-            raise DomainError("e must divide p - 1")
+        _check_field(p, e)
         self.p = p
         self.e = e
         self._log: list[tuple[int, int]] = []
@@ -185,10 +186,7 @@ def gen_instance(p: int, e: int, d: int, seed: int,
                  equal_g: bool = False,
                  require_non_perfect_power_ratio: bool = False) -> InstanceSpec:
     """Deterministic seeded instance; rejection sampling for the constraints."""
-    if not is_prime(p):
-        raise DomainError("p must be prime")
-    if e < 1 or (p - 1) % e != 0:
-        raise DomainError("e must divide p - 1")
+    _check_field(p, e)
     if d < 1:
         raise DomainError("d must be positive")
     if d >= p:

@@ -299,32 +299,25 @@ def _synth_div(c, x, p):
     return out
 
 
-def lagrange_basis(p: int, xs) -> list[Poly]:
-    """Basis polynomials L_i with L_i(x_j) = [i = j] for distinct nodes xs."""
-    xs = [x % p for x in xs]
+def _lagrange_rows(xs, p):
+    # coefficients of each L_i = m / ((X - x_i) m'(x_i)), m = prod (X - x_j)
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation nodes must be distinct")
     m = _master_poly(xs, p)
     dm = [i * c % p for i, c in enumerate(m)][1:]
-    out = []
-    for x in xs:
-        num = _synth_div(m, x, p)
-        den = _eval(dm, x, p)
-        out.append(Poly(p, _scale(num, pow(den, -1, p), p)))
-    return out
+    return [_scale(_synth_div(m, x, p), pow(_eval(dm, x, p), -1, p), p) for x in xs]
+
+
+def lagrange_basis(p: int, xs) -> list[Poly]:
+    """Basis polynomials L_i with L_i(x_j) = [i = j] for distinct nodes xs."""
+    return [Poly(p, row) for row in _lagrange_rows([x % p for x in xs], p)]
 
 
 def _lagrange_coeffs(xs, ys, p):
-    m = _master_poly(xs, p)
-    dm = [i * c % p for i, c in enumerate(m)][1:]
-    acc = [0] * (len(xs))
-    for x, y in zip(xs, ys):
-        if y == 0:
-            continue
-        num = _synth_div(m, x, p)
-        c = y * pow(_eval(dm, x, p), -1, p) % p
-        for i, v in enumerate(num):
-            acc[i] = (acc[i] + c * v) % p
+    acc = [0] * len(xs)
+    for y, row in zip(ys, _lagrange_rows(xs, p)):
+        for i, v in enumerate(row):
+            acc[i] = (acc[i] + y * v) % p
     return _trim(acc)
 
 
@@ -332,8 +325,6 @@ def lagrange_interpolate(p: int, points) -> Poly:
     """Unique polynomial of degree < len(points) through the given (x, y) pairs."""
     xs = [x % p for x, _ in points]
     ys = [y % p for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise DomainError("interpolation nodes must be distinct")
     if not xs:
         raise DomainError("need at least one point")
     return Poly(p, _lagrange_coeffs(xs, ys, p))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from powerprobe.algorithms import (AlgorithmError, AmbiguousCandidatesError,
                                    DishonestOracleError,
                                    InconsistentOracleError, NoValidMError,
-                                   RankLog, WindowEmptyError, WindowParams,
+                                   Pair, PairGroup, RankLog, WindowEmptyError, WindowParams,
                                    choose_m, compute_window, identity_test,
                                    interpolate, naive_power_interpolate,
                                    regime_condition_holds, step1_collect,
@@ -266,6 +266,44 @@ def brute_group_consistent(group, d, p):
     return out
 
 
+def rank_mod(rows, p):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def brute_group_fixed(group, d, p):
+    # the brute-force set, less every f whose own pair equations
+    # q(x) = y q(x+h), y = f(x)/f(x+h), leave more than one monic solution q
+    out = []
+    for f in brute_group_consistent(group, d, p):
+        rows = []
+        for pair in group.pairs:
+            x, xh = pair.x, pair.x + group.h
+            y = f(x) * pow(f(xh), -1, p) % p
+            rows.append([(pow(x, k, p) - y * pow(xh, k, p)) % p for k in range(d)])
+        if rank_mod(rows, p) == d:
+            out.append(f)
+    return out
+
+
+def every_root_group(p, xs):
+    # pairs (x, x+1) keeping every root of F_p^*: an f passes a pair when it
+    # vanishes at neither point
+    return PairGroup(1, tuple(Pair(x, 1, tuple(range(1, p))) for x in xs))
+
+
 PRIMES = [q for q in range(3, 10010) if is_prime(q)]
 
 
@@ -417,6 +455,47 @@ class TestStep2:
             assert spec.f in cand.polys
             assert 0 < log.events <= 1 + e + e * e
             assert log.violations == 0
+
+    def test_hand_built_group_equals_brute(self):
+        # 2d pairs at distinct x, not a chain: the walk meets a pair whose
+        # row reduces to zero for one root and keeps the rank, and line nodes
+        # where a pair holds on the whole line
+        p, d = 13, 4
+        group = every_root_group(p, (0, 2, 4, 5, 7, 8, 9, 10))
+        assert not is_chain(group)
+        cand = step2_candidates(group, d, p)
+        brute = brute_group_consistent(group, d, p)
+        assert len(brute) == 10986
+        assert cand.polys == sorted(brute, key=lambda q: q.coeffs)
+        assert (cand.rank.events, cand.rank.violations) == (1890, 0)
+
+    def test_fewer_pairs_emit_the_f_they_fix(self):
+        # below 2d pairs some root choices leave a line or more of f, and the
+        # walk emits only the f that its pairs fix.  At d pairs a rank-keeping
+        # pair leaves too few pairs for rank d, and some line nodes have
+        # every remaining pair holding on the whole line; the node counts
+        # show that walks which cannot reach rank d are cut short
+        p, d = 13, 4
+        for xs, walked, brute, events in (((0, 2, 4, 6), 13641, 15059, 1877),
+                                          ((0, 2, 4, 6, 8), 12703, 12846, 1890)):
+            group = every_root_group(p, xs)
+            cand = step2_candidates(group, d, p)
+            assert (len(cand.polys), cand.rank.events) == (walked, events)
+            assert len(brute_group_consistent(group, d, p)) == brute
+            assert cand.polys == sorted(brute_group_fixed(group, d, p),
+                                        key=lambda q: q.coeffs)
+
+    def test_basis_walk_refuses_past_budget(self):
+        # n = 2 puts the pairs at x = 0, 2, 4, ...: the group is no chain, and
+        # its walk of 273 nodes charges past a small operation budget
+        p, e, d = 1009, 16, 3
+        spec = gen_instance(p, e, d, seed=0)
+        group, = step1_collect(CachingOracle(make_oracle(spec)), d, n=2).groups
+        assert not is_chain(group)
+        assert spec.f in step2_candidates(group, d, p).polys
+        with mock.patch.dict(os.environ, {"POWERPROBE_BUDGET": "2000"}):
+            with pytest.raises(BudgetExceededError):
+                step2_candidates(group, d, p)
 
 
 class TestChooseM:
@@ -590,9 +669,15 @@ class TestInterpolate:
             interpolate(CachingOracle(ReplayOracle(101, 5, answers)), 2)
 
     def test_no_valid_m_surfaces(self):
-        spec = gen_instance(13, 3, 2, seed=1, require_square_free=True)
-        with pytest.raises(NoValidMError):
-            interpolate(CachingOracle(make_oracle(spec)), 2)
+        # m depends on p and e only, so it is refused before step 1; at
+        # (31, 30, 4) step 2 would first emit 687,520 candidates
+        specs = [gen_instance(13, 3, 2, seed=1, require_square_free=True)]
+        specs += [gen_instance(31, 30, 4, seed) for seed in (1, 2)]
+        for spec in specs:
+            oracle = CachingOracle(make_oracle(spec))
+            with pytest.raises(NoValidMError):
+                interpolate(oracle, spec.d)
+            assert oracle.query_count == 0
 
 
 class RandomPowerOracle(PowerOracle):
@@ -632,9 +717,10 @@ class TestAdversarialOracles:
                     interpolate(honest, d)
                 except typed:
                     pass
-                xs, answers = zip(*honest.transcript)
+                # a run refused before its first query replays no answers
+                xs, answers = tuple(zip(*honest.transcript)) or ((), ())
                 if kind == "truncated":
-                    answers = answers[:data.draw(st.integers(0, len(xs) - 1))]
+                    answers = answers[:data.draw(st.integers(0, max(len(xs) - 1, 0)))]
                 else:
                     answers = data.draw(st.permutations(answers))
                 inner = ReplayOracle(p, e, dict(zip(xs, answers)))
