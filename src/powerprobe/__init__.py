@@ -1,7 +1,7 @@
 """powerprobe: recover hidden monic polynomials over F_p from e-th power oracles."""
 
-from .ff_core import (DomainError, PrimeFieldCtx, factorize,
-                      find_primitive_root, iroot, is_prime)
+from .ff_core import (BudgetExceededError, DomainError, PrimeFieldCtx,
+                      factorize, find_primitive_root, iroot, is_prime)
 from .poly_algebra import (BiPoly, DegenerateResultantError, Poly, RationalFn,
                            divisible_by_torsion, is_square_free, lagrange_basis,
                            lagrange_interpolate, perfect_power_decompose,
@@ -21,8 +21,8 @@ from .algorithms import (AlgorithmError, AmbiguousCandidatesError, CandidateSet,
                          interpolate, naive_power_interpolate,
                          regime_condition_holds, step1_collect,
                          step2_candidates, step3_filter)
-from .bounds_lab import (BoundReport, BudgetExceededError, CSV_HEADER,
-                         EXPERIMENTS, count_curve_points_on_subgroups,
+from .bounds_lab import (BoundReport, CSV_HEADER, EXPERIMENTS,
+                         count_curve_points_on_subgroups,
                          count_curve_points_on_subgroups_alt,
                          count_interpolating_polynomials,
                          count_interpolating_polynomials_alt,

@@ -85,27 +85,26 @@ def regime_condition_holds(p: int, e: int, d: int, c=1) -> bool:
             and e * e * d ** 7 * den * den <= num * num * p ** 3)
 
 
-def compute_window(p: int, e: int, d: int, c1=1, cap: int | None = None) -> WindowParams:
-    """Window size H = min(cap, max(floor(c1 d^3 e^2 / p), floor(c1 (d^7 e^2)^(1/3)))).
+def compute_window(p: int, e: int, d: int, c1=1) -> WindowParams:
+    """Window size H = min(p - 1, max(floor(c1 d^3 e^2 / p), floor(c1 (d^7 e^2)^(1/3)))).
 
     All arithmetic is exact (rational c1, integer cube root), so the floors are
-    never off by one.  Also reports whether the regime condition
-    e <= c1 * min(p d^(-3/2), p^(3/2) d^(-7/2)) holds.
+    never off by one.  The cap p - 1 is reported as `cap`.  Also reports
+    whether the regime condition e <= c1 * min(p d^(-3/2), p^(3/2) d^(-7/2))
+    holds.
     """
     if p < 2 or e < 1 or d < 1:
         raise DomainError("need p >= 2, e >= 1, d >= 1")
     c1 = _as_fraction(c1)
     if c1 <= 0:
         raise DomainError("c1 must be positive")
-    if cap is None:
-        cap = p - 1
     num, den = c1.numerator, c1.denominator
     b1 = (num * d ** 3 * e ** 2) // (den * p)
     b2 = iroot((num ** 3 * d ** 7 * e ** 2) // den ** 3, 3)
-    H = min(cap, max(b1, b2))
+    H = min(p - 1, max(b1, b2))
     if H < 1:
         raise WindowEmptyError("window empty; increase c1 or shrink e")
-    return WindowParams(H=H, c1=c1, cap=cap,
+    return WindowParams(H=H, c1=c1, cap=p - 1,
                         cond_ed_holds=regime_condition_holds(p, e, d, c1),
                         branch_ratio=b1, branch_root=b2)
 
@@ -150,10 +149,10 @@ def identity_test(oracle_f: PowerOracle, oracle_g: PowerOracle,
 
 @dataclass(frozen=True)
 class Pair:
-    """Query pair (x, x+h) with every e-th root of the answer ratio."""
+    """Query pair (x, x+h), h that of its group, with every e-th root of the
+    answer ratio."""
 
     x: int
-    h: int
     roots: tuple[int, ...]
 
 
@@ -167,7 +166,6 @@ class PairGroup:
 class Step1Result:
     n: int
     range_top: int
-    answers: dict
     zeros: tuple[int, ...]
     d_rem: int
     known_factor: Poly
@@ -211,7 +209,7 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
             prod = prod * (x - z) % p
         adjusted[x] = a * pow(prod, -e, p) % p
     if d_rem == 0:
-        return Step1Result(n, top, answers, zeros, 0, known, adjusted, ())
+        return Step1Result(n, top, zeros, 0, known, adjusted, ())
 
     need = 2 * d_rem
     for h in range(1, n + 1):
@@ -223,10 +221,10 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
                 ratio = adjusted[x] * pow(adjusted[x + h], -1, p) % p
                 roots = ctx.extract_roots(ratio, e)
                 if any(pow(y, (p - 1) // n, p) == 1 for y in roots):
-                    pairs.append(Pair(x, h, roots))
+                    pairs.append(Pair(x, roots))
                     break
             if len(pairs) == need:
-                return Step1Result(n, top, answers, zeros, d_rem, known, adjusted,
+                return Step1Result(n, top, zeros, d_rem, known, adjusted,
                                    (PairGroup(h, tuple(pairs)),))
     raise DishonestOracleError("no shift has enough supported blocks")
 
@@ -391,11 +389,11 @@ def _pencil_walk(group, d, p, rank_log, limit):
     rank-increasing equations enter, and a line solve at rank d-1
     (`_line_points`).  Root y's row w - y*u reduces to rw - y*ru, so a node
     reduces u and w once; when u reduces to zero, one root stands for all."""
-    spent = 0
+    spent, h = 0, group.h
     pairs = []
     for pr in group.pairs:
         xp = [pow(pr.x, k, p) for k in range(d + 1)]
-        hp = [pow(pr.x + pr.h, k, p) for k in range(d + 1)]
+        hp = [pow(pr.x + h, k, p) for k in range(d + 1)]
         w_vec = xp[:d] + [-xp[d] % p]
         u_vec = hp[:d] + [-hp[d] % p]
         pairs.append((u_vec, w_vec, pr.roots, frozenset(pr.roots)))
@@ -430,7 +428,7 @@ def _pencil_walk(group, d, p, rank_log, limit):
     # a pair whose two points are both zeros of f holds for every root; the
     # hidden polynomial never vanishes at a pair point, so such f are dropped
     polys = [Poly(p, c) for c in found]
-    return {f.coeffs for f in polys if all(f(pr.x + pr.h) for pr in group.pairs)}
+    return {f.coeffs for f in polys if all(f(pr.x + h) for pr in group.pairs)}
 
 
 def step2_candidates(group: PairGroup, d: int, p: int,
@@ -536,7 +534,6 @@ class InterpolationResult:
     survivors: int
     rank_events: int
     rank_violations: int
-    groups: int
     query_budget: int
     wall_time_ms: float
 
@@ -559,7 +556,7 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
         poly = naive_power_interpolate(memo, d)
         ms = (time.perf_counter() - t0) * 1000.0
         return InterpolationResult(poly, p, e, d, n, memo.query_count, None, None,
-                                   (), [poly], 1, 1, 0, 0, 0, d + 1, ms)
+                                   (), [poly], 1, 1, 0, 0, d + 1, ms)
 
     window = compute_window(p, e, d, c1)
     choose_m(p, e, m_cap)  # depends on p and e only: refuse before any query
@@ -576,7 +573,7 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
     return InterpolationResult(winner, p, e, d, n, memo.query_count, window,
                                s3.m, s1.zeros, candidates, len(candidates),
                                len(s3.survivors), rank.events, rank.violations,
-                               len(s1.groups), budget, ms)
+                               budget, ms)
 
 
 def naive_power_interpolate(oracle: PowerOracle, d: int) -> Poly:

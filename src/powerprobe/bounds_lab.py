@@ -16,10 +16,9 @@ import zlib
 import random
 from dataclasses import dataclass
 
-# the budget lives in ff_core so that the step 2 walk can use it too;
-# DEFAULT_BUDGET, BudgetExceededError and _budget stay importable from here
-from .ff_core import (DEFAULT_BUDGET, BudgetExceededError, DomainError,
-                      PrimeFieldCtx, _budget, factorize)
+# the budget lives in ff_core, which the step 2 walk shares
+from .ff_core import (BudgetExceededError, DomainError, PrimeFieldCtx, _budget,
+                      factorize)
 from .poly_algebra import (BiPoly, Poly, RationalFn, _eval, is_square_free,
                            lagrange_basis, perfect_power_decompose, poly_gcd,
                            resultant_shifted)

@@ -12,13 +12,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .ff_core import DomainError, PrimeFieldCtx
+from .ff_core import BudgetExceededError, DomainError, PrimeFieldCtx
 from .oracle import (OracleError, gen_instance, instance_to_json, make_oracle,
                      read_instance, replay_oracle_from_file, write_instance,
                      write_transcript)
 from .algorithms import (AlgorithmError, compute_window, identity_test,
                          interpolate, regime_condition_holds)
-from .bounds_lab import BudgetExceededError, load_grid, sweep, write_csv
+from .bounds_lab import load_grid, sweep, write_csv
 from .poly_algebra import is_square_free
 
 

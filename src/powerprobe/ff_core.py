@@ -231,8 +231,7 @@ class PrimeFieldCtx:
             acc = acc * gen % self.p
         return tuple(sorted(elems))
 
-    def extract_roots(self, value: int, e: int, index_multiple: int = 1,
-                      allow_zero: bool = False) -> tuple[int, ...]:
+    def extract_roots(self, value: int, e: int, index_multiple: int = 1) -> tuple[int, ...]:
         """All y with y^e = value whose index is a multiple of index_multiple.
 
         value has e-th roots exactly when value^((p-1)/e) = 1, and then it has
@@ -243,9 +242,8 @@ class PrimeFieldCtx:
         (Pohlig-Hellman over primes <= e) is a multiple of e, and
         y = y0 * h^(c/e).  The roots are y*zeta^t for t < e, zeta of order e;
         the index filter keeps those with y^((p-1)/index_multiple) = 1.
-        value = 0 yields (0,) only when the index filter is trivial and
-        allow_zero is set; otherwise it is a domain error because ind 0 is
-        undefined.  Result sorted ascending.
+        value = 0 is a domain error because ind 0 is undefined.  Result
+        sorted ascending.
         """
         p = self.p
         if e < 1 or (p - 1) % e != 0:
@@ -255,9 +253,7 @@ class PrimeFieldCtx:
             raise DomainError("index_multiple must divide p - 1")
         value %= p
         if value == 0:
-            if allow_zero and n == 1:
-                return (0,)
-            raise DomainError("zero has no index; roots of 0 need allow_zero and trivial filter")
+            raise DomainError("zero has no index")
         if pow(value, (p - 1) // e, p) != 1:
             return ()
         m = 1

@@ -145,12 +145,16 @@ class ReplayOracle(PowerOracle):
 
 
 class CachingOracle(PowerOracle):
-    """Deduplicates queries so shared points are only charged once."""
+    """Deduplicates queries so shared points are only charged once.
+
+    The inner oracle has checked p and e and keeps the transcript, so the
+    memo neither checks them again nor logs its own queries.
+    """
 
     __slots__ = ("inner", "_cache")
 
     def __init__(self, inner: PowerOracle):
-        super().__init__(inner.p, inner.e)
+        self.p, self.e = inner.p, inner.e
         self.inner = inner
         self._cache: dict[int, int] = {}
 
@@ -162,6 +166,10 @@ class CachingOracle(PowerOracle):
     @property
     def query_count(self) -> int:
         return len(self._cache)
+
+    @property
+    def has_repeated_queries(self) -> bool:
+        return self.inner.has_repeated_queries
 
     @property
     def transcript(self):

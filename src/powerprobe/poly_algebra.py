@@ -35,16 +35,6 @@ def _add(a, b, p):
     return _trim(out)
 
 
-def _sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return _trim(out)
-
-
 def _mul(a, b, p):
     if not a or not b:
         return []
@@ -98,8 +88,9 @@ class _RunEvaluator:
     (d+1)(p-1)^2 so that none carries into the next.  One-word slots are read
     back with one array cast.  t < p keeps t! invertible.  The tables of t!,
     1/t! and the packed 1/j! depend only on t, so they are built once, grow
-    as prefixes and are masked to each run.  Runs of at most 2(d+1) points
-    use Horner's rule.
+    as prefixes and are masked to each run.  Terms with k >= count vanish
+    from every slot t < count, so a run shorter than d + 1 needs no other
+    path.
     """
 
     __slots__ = ("a", "p", "width", "fact", "inv_fact", "packed")
@@ -112,8 +103,6 @@ class _RunEvaluator:
         a, p, d, width, fact = self.a, self.p, len(self.a) - 1, self.width, self.fact
         if x0 < 0 or count > p - x0:
             raise DomainError("the run must stay inside [0, p)")
-        if count <= 2 * (d + 1):
-            return [pow(_eval(a, x0 + t, p), e, p) for t in range(count)]
         m = len(fact)
         if count > m:  # grow the tables to t < count
             for t in range(m, count):
@@ -207,7 +196,7 @@ class Poly:
         if isinstance(other, int):
             other = Poly(self.p, (other,))
         self._check(other)
-        return Poly(self.p, _sub(list(self.coeffs), list(other.coeffs), self.p))
+        return Poly(self.p, _add(list(self.coeffs), _scale(other.coeffs, -1, self.p), self.p))
 
     def __neg__(self):
         return Poly(self.p, _scale(list(self.coeffs), -1, self.p))
@@ -282,13 +271,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 # ---------- interpolation ----------
 
-def _master_poly(xs, p):
-    c = [1]
-    for x in xs:
-        c = _mul(c, [(-x) % p, 1], p)
-    return c
-
-
 def _synth_div(c, x, p):
     # divide by (X - x); exact when x is a root
     out = [0] * (len(c) - 1)
@@ -303,7 +285,7 @@ def _lagrange_rows(xs, p):
     # coefficients of each L_i = m / ((X - x_i) m'(x_i)), m = prod (X - x_j)
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation nodes must be distinct")
-    m = _master_poly(xs, p)
+    m = Poly.from_roots(p, xs).coeffs
     dm = [i * c % p for i, c in enumerate(m)][1:]
     return [_scale(_synth_div(m, x, p), pow(_eval(dm, x, p), -1, p), p) for x in xs]
 

@@ -27,13 +27,11 @@ from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
 from powerprobe.poly_algebra import Poly
 
 
-def window_brute(p, e, d, c1=Fraction(1), cap=None):
+def window_brute(p, e, d, c1=Fraction(1)):
     c1 = Fraction(c1)
-    if cap is None:
-        cap = p - 1
     a = c1.numerator * d ** 3 * e ** 2 // (c1.denominator * p)
     b = iroot(c1.numerator ** 3 * d ** 7 * e ** 2 // c1.denominator ** 3, 3)
-    return min(cap, max(a, b))
+    return min(p - 1, max(a, b))
 
 
 class TestRegimeCondition:
@@ -75,11 +73,6 @@ class TestComputeWindow:
                         w = compute_window(p, e, d, c1=c1)
                         assert w.H == window_brute(p, e, d, c1)
                         assert 1 <= w.H <= p - 1
-
-    def test_cap(self):
-        w = compute_window(13, 4, 3, cap=5)
-        assert w.H == 5
-        assert compute_window(13, 4, 3).H <= 12
 
     def test_cond_flag_matches_predicate(self):
         for (p, e, d) in [(10007, 4, 2), (13, 4, 3), (101, 5, 2), (13, 12, 2)]:
@@ -241,7 +234,7 @@ class TestStep1:
             assert s1.d_rem == 2
             group, = s1.groups
             for pair in group.pairs:
-                ratio = spec.f(pair.x) * pow(spec.f(pair.x + pair.h), -1, p) % p
+                ratio = spec.f(pair.x) * pow(spec.f(pair.x + group.h), -1, p) % p
                 assert ratio in pair.roots
             cand = step2_candidates(group, d, p)
             brute = brute_group_consistent(group, d, p)
@@ -301,7 +294,7 @@ def brute_group_fixed(group, d, p):
 def every_root_group(p, xs):
     # pairs (x, x+1) keeping every root of F_p^*: an f passes a pair when it
     # vanishes at neither point
-    return PairGroup(1, tuple(Pair(x, 1, tuple(range(1, p))) for x in xs))
+    return PairGroup(1, tuple(Pair(x, tuple(range(1, p))) for x in xs))
 
 
 PRIMES = [q for q in range(3, 10010) if is_prime(q)]

@@ -191,13 +191,12 @@ class TestExtractRoots:
             counts = {len(ctx.extract_roots(v, e)) for v in range(1, 101)}
             assert counts == {0, e}
 
-    def test_zero_value_needs_allow_zero(self):
+    def test_zero_value_raises(self):
         ctx = PrimeFieldCtx(13)
         with pytest.raises(DomainError):
             ctx.extract_roots(0, 3)
-        assert ctx.extract_roots(0, 3, allow_zero=True) == (0,)
         with pytest.raises(DomainError):
-            ctx.extract_roots(0, 3, allow_zero=True, index_multiple=2)
+            ctx.extract_roots(0, 3, index_multiple=2)
 
     def test_rejects_bad_orders(self):
         ctx = PrimeFieldCtx(13)
@@ -238,8 +237,6 @@ class TestRootProperties:
         value = data.draw(st.integers(0, p - 1))
         ctx = PrimeFieldCtx(p)
         if value == 0:
-            if n == 1:
-                assert ctx.extract_roots(0, e, n, allow_zero=True) == (0,)
             with pytest.raises(DomainError):
                 ctx.extract_roots(0, e, n)
             return

@@ -229,6 +229,15 @@ class TestCachingOracle:
         assert inner.query_count == 2  # repeat served from cache
         assert not inner.has_repeated_queries
 
+    def test_repeats_read_from_inner_transcript(self):
+        inner = make_oracle(gen_instance(101, 5, 2, 3))
+        inner.query(1)
+        inner.query(1)
+        o = CachingOracle(inner)
+        o.query(2)
+        assert o.transcript == ((1, 95), (1, 95), (2, 41))
+        assert o.has_repeated_queries
+
 
 class TestGenInstance:
     def test_deterministic(self):
