@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from operator import mul
 
-from .ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, _budget, iroot
+from .ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, _budget, _charge, iroot
 from .oracle import CachingOracle, LocalPowerOracle, PowerOracle
 from .poly_algebra import (Poly, is_square_free, lagrange_basis, lagrange_interpolate,
                            poly_power_root)
@@ -61,7 +61,8 @@ class AmbiguousCandidatesError(AlgorithmError):
 
 @dataclass(frozen=True)
 class WindowParams:
-    """Identity-test window: H points, the tuning constant, and diagnostics."""
+    """Identity-test window: H points for degree d, the tuning constant, and
+    diagnostics."""
 
     H: int
     c1: Fraction
@@ -69,6 +70,7 @@ class WindowParams:
     cond_ed_holds: bool
     branch_ratio: int
     branch_root: int
+    d: int
 
 
 def _as_fraction(c) -> Fraction:
@@ -106,7 +108,7 @@ def compute_window(p: int, e: int, d: int, c1=1) -> WindowParams:
         raise WindowEmptyError("window empty; increase c1 or shrink e")
     return WindowParams(H=H, c1=c1, cap=p - 1,
                         cond_ed_holds=regime_condition_holds(p, e, d, c1),
-                        branch_ratio=b1, branch_root=b2)
+                        branch_ratio=b1, branch_root=b2, d=d)
 
 
 # ---------- identity testing ----------
@@ -127,22 +129,20 @@ def identity_test(oracle_f: PowerOracle, oracle_g: PowerOracle,
                   window: WindowParams) -> IdentityVerdict:
     """Compare two oracles on x = 1..H; first mismatch is the witness.
 
-    Uses at most 2H queries.  Equal answers on the whole window yield the
-    indistinguishable verdict; soundness of a Different verdict is immediate
-    from the two recorded answers.
+    Uses at most 2H queries, and charges their 2H(d+1) field operations
+    against the operation budget before the first.  Equal answers on the
+    whole window yield the indistinguishable verdict; soundness of a
+    Different verdict is immediate from the two recorded answers.
     """
     if oracle_f.p != oracle_g.p or oracle_f.e != oracle_g.e:
         raise DomainError("oracles must share p and e")
     if window.H >= oracle_f.p:
         raise DomainError("window exceeds the field")
-    queries = 0
+    _charge(2 * window.H * (window.d + 1))
     for x in range(1, window.H + 1):
-        af = oracle_f.query(x)
-        ag = oracle_g.query(x)
-        queries += 2
-        if af != ag:
-            return IdentityVerdict(True, x, queries, window)
-    return IdentityVerdict(False, None, queries, window)
+        if oracle_f.query(x) != oracle_g.query(x):
+            return IdentityVerdict(True, x, 2 * x, window)
+    return IdentityVerdict(False, None, 2 * window.H, window)
 
 
 # ---------- interpolation: step 1 ----------

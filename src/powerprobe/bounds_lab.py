@@ -17,17 +17,12 @@ import random
 from dataclasses import dataclass
 
 # the budget lives in ff_core, which the step 2 walk shares
-from .ff_core import (BudgetExceededError, DomainError, PrimeFieldCtx, _budget,
+from .ff_core import (BudgetExceededError, DomainError, PrimeFieldCtx, _charge,
                       factorize)
 from .poly_algebra import (BiPoly, Poly, RationalFn, _eval, is_square_free,
                            lagrange_basis, perfect_power_decompose, poly_gcd,
                            resultant_shifted)
 from .algorithms import choose_m, compute_window, shifted_condition_holds
-
-
-def _charge(estimate: int, budget: int | None):
-    if estimate > _budget(budget):
-        raise BudgetExceededError("budget: estimated %d ops" % estimate)
 
 
 # ---------- value sets of rational functions ----------

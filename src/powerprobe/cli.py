@@ -7,6 +7,7 @@ found a witness, 2 any error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -43,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError("%s: %s" % (self.prog, message))
 
 
+@functools.lru_cache(maxsize=None)  # one parser per process, built by the first main()
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="powerprobe",
                  description="identity testing and interpolation of hidden monic "

@@ -36,6 +36,12 @@ def _budget(budget: int | None) -> int:
         return DEFAULT_BUDGET
 
 
+def _charge(estimate: int, budget: int | None = None) -> None:
+    # refuse, before any of it is done, work estimated above the budget
+    if estimate > _budget(budget):
+        raise BudgetExceededError("budget: estimated %d ops" % estimate)
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for n < 3.3e24."""
     if n < 2:
@@ -243,7 +249,8 @@ class PrimeFieldCtx:
         y = y0 * h^(c/e).  The roots are y*zeta^t for t < e, zeta of order e;
         the index filter keeps those with y^((p-1)/index_multiple) = 1.
         value = 0 is a domain error because ind 0 is undefined.  Result
-        sorted ascending.
+        sorted ascending.  Walking the e roots is charged e operations
+        against the operation budget.
         """
         p = self.p
         if e < 1 or (p - 1) % e != 0:
@@ -256,6 +263,7 @@ class PrimeFieldCtx:
             raise DomainError("zero has no index")
         if pow(value, (p - 1) // e, p) != 1:
             return ()
+        _charge(e)
         m = 1
         for q in set(self.factors):
             if e % q == 0:

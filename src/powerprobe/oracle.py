@@ -57,15 +57,21 @@ class InstanceSpec:
 
 
 class PowerOracle:
-    """Base query interface: answers f(x)^e and records a transcript."""
+    """Base query interface: answers f(x)^e and records a transcript.
 
-    __slots__ = ("p", "e", "_log")
+    `query` serves x from the current block of precomputed answers,
+    f(_x0 + i)^e = _vals[i], when a subclass has made one, and asks
+    `_answer` otherwise.
+    """
+
+    __slots__ = ("p", "e", "_log", "_x0", "_vals")
 
     def __init__(self, p: int, e: int):
         _check_field(p, e)
         self.p = p
         self.e = e
         self._log: list[tuple[int, int]] = []
+        self._x0, self._vals = 0, []
 
     def _answer(self, x: int) -> int:
         raise NotImplementedError
@@ -73,7 +79,8 @@ class PowerOracle:
     def query(self, x: int) -> int:
         if not isinstance(x, int) or not 0 <= x < self.p:
             raise OracleError("query point out of range [0, p)")
-        a = self._answer(x)
+        i = x - self._x0
+        a = self._vals[i] if 0 <= i < len(self._vals) else self._answer(x)
         self._log.append((x, a))
         return a
 
@@ -94,37 +101,35 @@ class LocalPowerOracle(PowerOracle):
     """Evaluates the hidden polynomial locally.
 
     A scan of consecutive x, such as identity_test's x = 1..H, is served
-    from blocks of answers f(x)^e made by `_RunEvaluator.run`.  Past the
-    first max(2(d+1), 128) points of a scan, a query outside the block
-    starts one as long as the scan so far, at most 64(d+1) points, ending
-    by p - 1.  Shorter scans, such as recovery's at small d, stay on
-    Horner's rule.  Every query still goes through `query`, and only queried
-    points are logged, so answers, transcripts and query counts are those
-    of evaluating f at each x.
+    from blocks of answers f(x)^e made by `_RunEvaluator.run`.  The first
+    max(2(d+1), 128) points of a scan use Horner's rule; past them, a query
+    outside the current block starts a block of 32(d+1) points, cut at
+    p - 1.  So a scan computes at most one block past its last query, and
+    shorter scans, such as recovery's at small d, stay on Horner's rule.
+    A block that continues the previous one takes its seeds from it, not
+    from Horner's rule.  Every query still goes through `query`, and only
+    queried points are logged, so answers, transcripts and query counts are
+    those of evaluating f at each x.
     """
 
-    __slots__ = ("_f", "_runs", "_start", "_cap", "_last", "_run", "_x0", "_vals")
+    __slots__ = ("_f", "_runs", "_start", "_block", "_last", "_run")
 
     def __init__(self, p: int, e: int, f: Poly):
         super().__init__(p, e)
         if f.p != p or f.is_zero:
             raise DomainError("hidden polynomial must be nonzero over F_p")
         self._f, self._runs = f, _RunEvaluator(f.coeffs, p)
-        self._start, self._cap = max(2 * (f.degree + 1), 128), 64 * (f.degree + 1)
+        self._start, self._block = max(2 * (f.degree + 1), 128), 32 * (f.degree + 1)
         self._last, self._run = -1, 0   # the scan ending at _last has run _run points
-        self._x0, self._vals = 0, []    # the block: f(_x0 + i)^e = _vals[i]
 
     def _answer(self, x: int) -> int:
-        i = x - self._x0
-        if 0 <= i < len(self._vals):
-            return self._vals[i]
-        self._run = run = self._run + 1 if x == self._last + 1 else 1
+        self._run = self._run + 1 if x == self._last + 1 else 1
         self._last = x
-        if run <= self._start:
+        if self._run <= self._start:
             return pow(self._f(x), self.e, self.p)
-        n = min(run, self._cap, self.p - x)
+        n = min(self._block, self.p - x)
         self._x0, self._vals = x, self._runs.run(x, n, self.e)
-        self._run, self._last = run + n - 1, x + n - 1
+        self._last = x + n - 1
         return self._vals[0]
 
 

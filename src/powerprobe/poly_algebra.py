@@ -84,48 +84,62 @@ class _RunEvaluator:
 
     With D_k = Delta^k a(x0), k <= d = deg a, a(x0 + t) = sum_k binom(t, k) D_k
     = t! * sum_k (D_k / k!) * (1 / (t-k)!): one convolution, computed as one
-    big-integer product in slots of whole 64-bit words, wide enough for
-    (d+1)(p-1)^2 so that none carries into the next.  One-word slots are read
-    back with one array cast.  t < p keeps t! invertible.  The tables of t!,
-    1/t! and the packed 1/j! depend only on t, so they are built once, grow
-    as prefixes and are masked to each run.  Terms with k >= count vanish
-    from every slot t < count, so a run shorter than d + 1 needs no other
-    path.
+    big-integer product in slots of ceil((2 bitlen(p) + bitlen(d+1)) / 8)
+    bytes, wide enough for (d+1)(p-1)^2 so that none carries into the next.
+    Slots of at most 8 bytes are spread into 8-byte slots by `width` strided
+    copies and read back with one array cast.  t < p keeps t! invertible.
+    The tables of t!, 1/t! and the packed 1/j! depend only on t, so they are
+    built once, grow as prefixes and are masked to each run.  Terms with
+    k >= count vanish from every slot t < count, so a run shorter than d + 1
+    needs no other path.
+
+    The d + 1 values a(x0), ..., a(x0 + d) that seed D_k come from Horner's
+    rule, except for a run that starts where the previous one ended: when
+    count + d + 1 <= p, a run computes d + 1 slots past its end and keeps
+    a(x0 + count + i) for the next run.
     """
 
-    __slots__ = ("a", "p", "width", "fact", "inv_fact", "packed")
+    __slots__ = ("a", "p", "width", "fact", "inv_fact", "packed", "next_x0", "seeds")
 
     def __init__(self, a, p):
         self.a, self.p, self.fact, self.inv_fact, self.packed = tuple(a), p, [1], [1], 1
-        self.width = (2 * p.bit_length() + len(a).bit_length() + 63) // 64 * 8  # bytes a slot
+        self.width = (2 * p.bit_length() + len(a).bit_length() + 7) // 8  # bytes a slot
+        self.next_x0, self.seeds = -1, []  # a(next_x0 + i) = seeds[i]
 
     def run(self, x0, count, e=1):
         a, p, d, width, fact = self.a, self.p, len(self.a) - 1, self.width, self.fact
         if x0 < 0 or count > p - x0:
             raise DomainError("the run must stay inside [0, p)")
+        n = count + d + 1 if count + d + 1 <= p else count  # slots computed
         m = len(fact)
-        if count > m:  # grow the tables to t < count
-            for t in range(m, count):
+        if n > m:  # grow the tables to t < n
+            for t in range(m, n):
                 fact.append(fact[-1] * t % p)
-            new = [pow(fact[-1], -1, p)] * (count - m)
-            for t in range(count - 1, m, -1):
+            new = [pow(fact[-1], -1, p)] * (n - m)
+            for t in range(n - 1, m, -1):
                 new[t - 1 - m] = new[t - m] * t % p
             self.inv_fact += new
             self.packed |= _pack(new, width) << 8 * width * m
-        diffs = [_eval(a, x0 + t, p) for t in range(d + 1)]
+        diffs = self.seeds[:] if x0 == self.next_x0 else [_eval(a, x0 + t, p) for t in range(d + 1)]
         for k in range(1, d + 1):
             for j in range(d, k - 1, -1):
                 diffs[j] = (diffs[j] - diffs[j - 1]) % p
-        mask = (1 << 8 * width * count) - 1
+        mask = (1 << 8 * width * n) - 1
         newton = _pack([D * i % p for D, i in zip(diffs, self.inv_fact)], width)
-        raw = (newton * (self.packed & mask) & mask).to_bytes(width * count, "little")
-        if width == 8:
-            slots = array("Q", raw)
+        raw = (newton * (self.packed & mask) & mask).to_bytes(width * n, "little")
+        if width <= 8:
+            spread = bytearray(8 * n)
+            for i in range(width):
+                spread[i::8] = raw[i::width]
+            slots = array("Q", spread)
             if sys.byteorder == "big":
                 slots.byteswap()
         else:
             slots = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-        return [pow(v * f % p, e, p) for v, f in zip(slots, fact)]
+        if n > count:
+            self.next_x0 = x0 + count
+            self.seeds = [v * f % p for v, f in zip(slots[count:], fact[count:n])]
+        return [pow(v * f, e, p) for v, f in zip(slots[:count], fact)]
 
 
 class Poly:

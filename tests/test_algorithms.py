@@ -149,12 +149,25 @@ class TestIdentityTest:
             v = identity_test(make_oracle(spec), make_oracle(spec, which="g"), w)
             assert v.different and 1 <= v.witness <= w.H
 
+    def test_scan_charged_before_first_query(self, monkeypatch):
+        # 2H(d+1) = 2 * 14 * 3 = 84 operations at (101, 5, 2)
+        w = compute_window(101, 5, 2)
+        assert w.H == 14 and w.d == 2
+        of = LocalPowerOracle(101, 5, Poly(101, [1, 2, 1]))
+        og = LocalPowerOracle(101, 5, Poly(101, [1, 2, 1]))
+        monkeypatch.setenv("POWERPROBE_BUDGET", "83")
+        with pytest.raises(BudgetExceededError):
+            identity_test(of, og, w)
+        assert of.query_count == og.query_count == 0
+        monkeypatch.setenv("POWERPROBE_BUDGET", "84")
+        assert identity_test(of, og, w).queries == 28
+
     def test_scan_order_and_early_exit(self):
         of = LocalPowerOracle(13, 1, Poly.x(13))
         og = LocalPowerOracle(13, 1, Poly(13, [1, 1]))
         identity_test(of, og, WindowParams(H=5, c1=Fraction(1), cap=12,
                                            cond_ed_holds=False,
-                                           branch_ratio=0, branch_root=0))
+                                           branch_ratio=0, branch_root=0, d=1))
         assert [x for x, _ in of.transcript] == [1]
 
 
@@ -557,7 +570,7 @@ class TestStep3:
         assert pow(f(1), e, p) == pow(g(1), e, p)
         oracle = CachingOracle(LocalPowerOracle(p, e, f))
         tiny = WindowParams(H=1, c1=Fraction(1), cap=12, cond_ed_holds=False,
-                            branch_ratio=0, branch_root=0)
+                            branch_ratio=0, branch_root=0, d=2)
         with pytest.raises(AmbiguousCandidatesError) as err:
             step3_filter([f, g], oracle, d, tiny)
         assert len(err.value.survivors) == 2

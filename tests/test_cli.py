@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerprobe.cli import main
+from powerprobe.cli import _build_parser, main
 from powerprobe.oracle import (LocalPowerOracle, read_instance,
                                transcript_to_jsonl, write_transcript)
 from powerprobe.poly_algebra import Poly
@@ -280,6 +280,18 @@ class TestRootsWindow:
         assert len(roots) == 3 and 987654321 in roots
         assert all(pow(y, 3, p) == cube for y in roots)
 
+    def test_budget_refusals_exit_2(self, capsys, monkeypatch):
+        # H = 6,055,366,880 at d = 40, and 1,164,127,965 roots of 1: each is
+        # refused before any of its work, with one JSON line
+        monkeypatch.delenv("POWERPROBE_BUDGET", raising=False)
+        p, e = "2305843009213693951", "1164127965"
+        for argv in (["identity", "--p", p, "--e", e, "--d", "40", "--seed", "1", "--equal-g"],
+                     ["roots", "--p", p, "--e", e, "1"]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 2
+            assert out.count("\n") == 1
+            assert payload(out)["error"].startswith("budget: estimated")
+
     def test_roots_with_filter(self, capsys):
         code, out, _ = run(capsys, "roots", "--p", "13", "--e", "3", "--n", "2", "8")
         assert code == 0
@@ -304,6 +316,28 @@ class TestRootsWindow:
 
 
 class TestTopLevel:
+    def test_calls_in_a_row_match_fresh_calls(self, capsys):
+        # main builds its parser once per process; calls after the first,
+        # a usage error included, print what a fresh parser would
+        argvs = (["identity", "--p", "101", "--e", "5", "--d", "2", "--seed", "3", "--equal-g"],
+                 ["identity", "--p", "abc"],
+                 ["identity", "--p", "101", "--e", "5", "--d", "2", "--seed", "9",
+                  "--require-non-pp-ratio"])
+
+        def call(argv):
+            code, out, err = run(capsys, *argv)
+            data = payload(out)
+            data.pop("wall_time_ms", None)
+            return code, data, err
+
+        in_a_row = [call(argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            _build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert [code for code, _, _ in in_a_row] == [0, 2, 1]
+        assert in_a_row == fresh
+
     def test_no_subcommand_exit_2(self, capsys):
         assert main([]) == 2
 

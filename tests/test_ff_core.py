@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from powerprobe.ff_core import (MAX_MODULUS, DomainError, PrimeFieldCtx,
-                                factorize, find_primitive_root, iroot,
-                                is_prime)
+from powerprobe.ff_core import (MAX_MODULUS, BudgetExceededError, DomainError,
+                                PrimeFieldCtx, factorize, find_primitive_root,
+                                iroot, is_prime)
 
 
 def brute_roots(p, value, e, n=1):
@@ -204,6 +204,14 @@ class TestExtractRoots:
             ctx.extract_roots(8, 5)
         with pytest.raises(DomainError):
             ctx.extract_roots(8, 3, index_multiple=5)
+
+    def test_root_walk_charged_against_budget(self, monkeypatch):
+        ctx = PrimeFieldCtx(13)
+        monkeypatch.setenv("POWERPROBE_BUDGET", "2")
+        with pytest.raises(BudgetExceededError):
+            ctx.extract_roots(8, 3)
+        assert ctx.extract_roots(2, 3) == ()  # no roots to walk
+        assert ctx.extract_roots(4, 2) == (2, 11)
 
     def test_index_normalization_for_one(self):
         # ind 1 = p - 1, so the trivial filter keeps 1 exactly when n | p - 1

@@ -16,6 +16,7 @@ from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
                                transcript_from_jsonl, transcript_to_jsonl,
                                write_instance,
                                write_transcript)
+from powerprobe import poly_algebra
 from powerprobe.poly_algebra import (Poly, RationalFn, is_square_free,
                                      perfect_power_decompose)
 
@@ -98,7 +99,7 @@ def assert_matches_horner(p, e, coeffs, xs):
 
 @st.composite
 def query_sequences(draw, p, cap):
-    # scans long enough to cross several growing blocks and reach the cap,
+    # scans long enough to cross several blocks (up to 4 cap + 3 points),
     # jumps, repeats of an earlier point, scans that restart inside an
     # earlier one, descending runs and scans that end at p - 1
     xs = []
@@ -124,8 +125,9 @@ def query_sequences(draw, p, cap):
 
 
 class TestBlockedScans:
-    # Slots of one word at the small primes, two at 2^61 - 1 and at
-    # 2^62 - 57 with d <= 8, and three at 2^62 - 57 with d = 15
+    # Slots of 2-5 bytes at the small primes, read back with the array cast,
+    # 16 bytes at 2^61 - 1 and at 2^62 - 57 with d <= 8, and 17 at
+    # 2^62 - 57 with d = 15
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([(101, 5), (257, 16), (7681, 3), (65537, 4),
                             (2 ** 61 - 1, 231), (2 ** 62 - 57, 18)]),
@@ -137,9 +139,9 @@ class TestBlockedScans:
         assert_matches_horner(p, e, coeffs, data.draw(query_sequences(p, 64 * (d + 1))))
 
     def test_three_word_slots_reach_the_cap(self):
-        # blocks of 129, 258, 516 and then 1024 = 64(d+1) points, a jump
-        # back into the current block and into an earlier one, and a scan
-        # whose last block is cut at p - 1
+        # blocks of 512 = 32(d+1) points after a Horner prefix of 128, two
+        # jumps back into earlier points, and a scan whose last block is cut
+        # at p - 1
         p, e, d = 2 ** 62 - 57, 18, 15
         coeffs = [pow(7, k, p) for k in range(d)] + [1]
         xs = list(range(5, 3005)) + [2500, 700] + list(range(p - 1500, p))
@@ -167,6 +169,39 @@ class TestBlockedScans:
         assert verdict.witness == 1 and verdict.queries == 2
         assert of.transcript == ((1, pow(f(1), e, p)),)
         assert og.transcript == ((1, pow(g(1), e, p)),)
+
+
+class _LoggedRuns:
+    """Passes runs through to a `_RunEvaluator` and logs their lengths."""
+
+    def __init__(self, runs):
+        self.runs, self.counts = runs, []
+
+    def run(self, x0, count, e=1):
+        self.counts.append(count)
+        return self.runs.run(x0, count, e)
+
+
+class TestBlockLength:
+    def test_equal_pair_computes_at_most_one_block_past_the_window(self, monkeypatch):
+        p, e, d = 65537, 4, 40
+        inst = gen_instance(p, e, d, 7, equal_g=True)
+        window = compute_window(p, e, d)
+        of, og = make_oracle(inst, "f"), make_oracle(inst, "g")
+        of._runs, og._runs = _LoggedRuns(of._runs), _LoggedRuns(og._runs)
+        evals = []
+        horner = poly_algebra._eval
+        monkeypatch.setattr(poly_algebra, "_eval", lambda *a: evals.append(1) or horner(*a))
+        verdict = identity_test(of, og, window)
+        assert not verdict.different and verdict.queries == 2 * window.H
+        prefix = max(2 * (d + 1), 128)
+        for oracle in (of, og):
+            counts = oracle._runs.counts
+            assert set(counts) == {32 * (d + 1)}
+            assert window.H <= prefix + sum(counts) <= window.H + 32 * (d + 1)
+        # Horner's rule for each oracle's prefix and its first block's
+        # seeds; every later block continues the one before it
+        assert len(evals) == 2 * (prefix + d + 1)
 
 
 class TestReplayOracle:

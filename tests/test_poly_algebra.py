@@ -173,6 +173,14 @@ class TestLagrange:
             lagrange_basis(13, [3, 3])
 
 
+def largest_terms_poly(p, d, x0):
+    # Newton coefficients D_k / k! = p - 1 at x0 make every product in the
+    # convolution close to p^2, so slots too narrow would carry
+    newton = [(p - 1) * math.factorial(k) for k in range(d + 1)]
+    return lagrange_interpolate(p, [(x0 + t, sum(math.comb(t, k) * D for k, D in enumerate(newton)))
+                                    for t in range(d + 1)])
+
+
 class TestEvalRun:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([2, 3, 13, 65537, 2 ** 61 - 1, 2 ** 62 - 57]),
@@ -197,13 +205,46 @@ class TestEvalRun:
         assert _RunEvaluator((), 13).run(2, 11) == [0] * 11
 
     def test_largest_convolution_terms(self):
-        # Newton coefficients D_k / k! = p - 1 make every product in the
-        # convolution close to p^2, so slots too narrow would carry
         p, d, x0 = 2 ** 62 - 57, 50, 12345
-        newton = [(p - 1) * math.factorial(k) for k in range(d + 1)]
-        f = lagrange_interpolate(p, [(x0 + t, sum(math.comb(t, k) * D for k, D in enumerate(newton)))
-                                     for t in range(d + 1)])
+        f = largest_terms_poly(p, d, x0)
         assert _RunEvaluator(f.coeffs, p).run(x0, 400) == [f(x0 + t) for t in range(400)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([13, 40009, 65537, 2 ** 31 - 1, 2 ** 61 - 1]),
+           st.integers(0, 40), st.data())
+    def test_chained_runs_equal_horner(self, p, d, data):
+        # a run that starts where the one before ended takes its seeds from
+        # that run's extra slots; a jump, or a run after one that ended at
+        # p - 1, takes them from Horner's rule
+        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
+        f = Poly(p, coeffs)
+        runs = _RunEvaluator(coeffs, p)
+        x0 = data.draw(st.integers(0, p - 1))
+        for _ in range(data.draw(st.integers(1, 6))):
+            kind = data.draw(st.sampled_from(["next", "next", "jump", "tail"]))
+            if kind == "tail":
+                count = data.draw(st.integers(0, min(p, 200)))
+                x0 = p - count
+            else:
+                if kind == "jump" or x0 == p:
+                    x0 = data.draw(st.integers(0, p - 1))
+                count = data.draw(st.integers(0, min(p - x0, 200)))
+            e = data.draw(st.sampled_from([1, 2, 3]))
+            assert runs.run(x0, count, e) == [pow(f(x0 + t), e, p) for t in range(count)]
+            x0 += count
+
+    @pytest.mark.parametrize("p, d, width", [(65537, 40, 5), (2 ** 31 - 1, 2, 8),
+                                             (2 ** 31 - 1, 3, 9)])
+    def test_largest_terms_in_byte_slots(self, p, d, width):
+        # slots of 5 bytes, of exactly 8 (3(p-1)^2 < 2^64) and of 9, the
+        # first width read back slot by slot; the second run takes the first
+        # one's extra slots as seeds
+        x0 = 12345
+        f = largest_terms_poly(p, d, x0)
+        runs = _RunEvaluator(f.coeffs, p)
+        assert runs.width == width
+        assert runs.run(x0, 400) == [f(x0 + t) for t in range(400)]
+        assert runs.run(x0 + 400, 400) == [f(x0 + 400 + t) for t in range(400)]
 
     def test_rejects_run_past_p(self):
         runs = _RunEvaluator((1, 1), 13)
