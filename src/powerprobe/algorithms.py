@@ -568,6 +568,10 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
         candidates = sorted((c * s1.known_factor for c in cs.polys),
                             key=lambda q: q.coeffs)
     winner, s3 = step3_filter(candidates, memo, d, window, m_cap)
+    # step 3 matched the winner at x <= max(filter_top, H), step 1 asked up to range_top
+    if any(pow(winner(x), e, p) != memo.query(x)
+           for x in range(max(s3.filter_top, window.H) + 1, s1.range_top + 1)):
+        raise InconsistentOracleError("inconsistent oracle: no candidate survives filtering")
     budget = s1.range_top + s3.filter_top + 1 + len(s3.survivors) * window.H
     ms = (time.perf_counter() - t0) * 1000.0
     return InterpolationResult(winner, p, e, d, n, memo.query_count, window,

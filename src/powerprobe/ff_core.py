@@ -1,10 +1,12 @@
 """Exact arithmetic in prime fields: contexts, subgroups, e-th roots, and the
 operation budget.
 
-Contexts and root extraction build no table sized by p or sqrt(p).  e-th roots
-come from a few modular powers plus a discrete log in the subgroup whose order
-holds only the primes of e (Adleman-Manders-Miller, in its Pohlig-Hellman
-form).
+Contexts and root extraction build no table sized by p or sqrt(p), and
+recovery never factors p - 1: a context finds its primitive root and the
+factors of p - 1 only when asked for them.  e-th roots come from a few
+modular powers plus a discrete log in the subgroup whose order holds only
+the primes of e (Adleman-Manders-Miller, in its Pohlig-Hellman form), with
+everything that depends only on (p, e) computed once per context.
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ import os
 MAX_MODULUS = 1 << 62
 DEFAULT_BUDGET = 10 ** 8
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# A014233(k): the least odd composite that is a strong probable prime to each
+# of the first k witnesses
+_MR_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 341550071728321, 3825123056546413051,
+              3825123056546413051, 3825123056546413051,
+              318665857834031151167461, 3317044064679887385961981)
 
 
 class DomainError(ValueError):
@@ -43,27 +51,27 @@ def _charge(estimate: int, budget: int | None = None) -> None:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Miller-Rabin to the first k prime bases, k the least with n below
+    A014233(k): exact for n < 3.3e24, a strong probable-prime test to the
+    bases 2..41 above."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s || n - 1
+    d = (n - 1) >> s
+    for a, bound in zip(_MR_WITNESSES, _MR_BOUNDS):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < bound:  # below A014233(k), passing k bases proves n prime
+            return True
     return True
 
 
@@ -153,72 +161,43 @@ def find_primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if _generates(g, p, radicals))
 
 
-def _log_prime_order(t: int, gam: int, q: int, p: int) -> int:
-    # d in [0, q) with gam^d = t mod p, where gam has prime order q and t lies
-    # in <gam>: baby-step giant-step with isqrt(q - 1) + 1 steps of each kind
-    m = math.isqrt(q - 1) + 1
-    baby: dict[int, int] = {}
-    acc = 1
-    for j in range(m):
-        baby[acc] = j
-        acc = acc * gam % p
-    giant = pow(acc, -1, p)
-    for i in range(m):
-        j = baby.get(t)
-        if j is not None:
-            return i * m + j
-        t = t * giant % p
-    raise DomainError("discrete log not found")  # unreachable for t in <gam>
-
-
 class PrimeFieldCtx:
-    """Arithmetic context for F_p: prime modulus, primitive root, factored p - 1.
+    """Arithmetic context for F_p: prime modulus, primitive root g, factored
+    p - 1, and a root plan for each e it has extracted e-th roots for.
 
-    Field elements are plain ints in [0, p).
+    The constructor checks only that p is a prime below 2^62 (and a given g
+    at once).  `g`, the smallest primitive root unless one is given, and
+    `factors`, those of p - 1 with multiplicity, are computed on first use;
+    root extraction uses neither.  Field elements are plain ints in [0, p).
     """
 
-    __slots__ = ("p", "g", "factors")
+    __slots__ = ("p", "_g", "_factors", "_plans")
 
     def __init__(self, p: int, g: int | None = None):
         if not isinstance(p, int) or not is_prime(p):
             raise DomainError("modulus must be prime")
         if p >= MAX_MODULUS:
             raise DomainError("modulus must be below 2^62")
-        self.p = p
-        self.factors = tuple(factorize(p - 1))
-        radicals = set(self.factors)
-        if g is None:
-            g = next(x for x in range(1, p) if _generates(x, p, radicals))
-        elif not 1 <= g < p:
-            raise DomainError("primitive root out of range")
-        elif not _generates(g, p, radicals):
-            raise DomainError("%d is not a primitive root mod %d" % (g, p))
-        self.g = g
+        self.p, self._g, self._factors, self._plans = p, None, None, {}
+        if g is not None:
+            if not 1 <= g < p:
+                raise DomainError("primitive root out of range")
+            if not _generates(g, p, set(self.factors)):
+                raise DomainError("%d is not a primitive root mod %d" % (g, p))
+            self._g = g
 
-    def _subgroup_log(self, x: int, order: int) -> int:
-        # c in [0, order) with x = h^c, h = g^((p-1)/order); order | p - 1 and
-        # x must lie in the subgroup of that order.  Pohlig-Hellman: solve c
-        # modulo each prime power q^k || order digit by digit, then CRT.
-        p = self.p
-        h = pow(self.g, (p - 1) // order, p)
-        c, mod = 0, 1
-        for q in set(self.factors):
-            qk = 1
-            while order % (qk * q) == 0:
-                qk *= q
-            if qk == 1:
-                continue
-            hq = pow(h, order // qk, p)
-            xq = pow(x, order // qk, p)
-            gam = pow(hq, qk // q, p)
-            cq, qi = 0, 1
-            while qi < qk:
-                t = pow(xq * pow(hq, -cq, p) % p, qk // (qi * q), p)
-                cq += _log_prime_order(t, gam, q, p) * qi
-                qi *= q
-            c += mod * ((cq - c) * pow(mod, -1, qk) % qk)
-            mod *= qk
-        return c
+    @property
+    def factors(self) -> tuple[int, ...]:
+        if self._factors is None:
+            self._factors = tuple(factorize(self.p - 1))
+        return self._factors
+
+    @property
+    def g(self) -> int:
+        if self._g is None:
+            radicals = set(self.factors)
+            self._g = next(x for x in range(1, self.p) if _generates(x, self.p, radicals))
+        return self._g
 
     # ---------- subgroups and roots ----------
 
@@ -237,20 +216,56 @@ class PrimeFieldCtx:
             acc = acc * gen % self.p
         return tuple(sorted(elems))
 
+    def _root_plan(self, e: int):
+        # (e^-1 mod s, h, the Pohlig-Hellman parts, mu_e = zeta^0..zeta^(e-1)):
+        # see extract_roots.  Only e is factored.
+        p = self.p
+        qs = set(factorize(e))
+        m = 1
+        for q in qs:
+            while (p - 1) % (m * q) == 0:
+                m *= q
+        s = (p - 1) // m
+        h = pow(next(c for c in range(1, p) if _generates(c, p, qs)), s, p)
+        zeta, he, m1 = pow(h, m // e, p), pow(h, e, p), m // e
+        mu = [1]
+        for _ in range(e - 1):
+            mu.append(mu[-1] * zeta % p)
+        # the log of r modulo each q^k || m1, digit by digit: (m1/q^k, digits,
+        # baby steps, giant step, steps, CRT coefficient) for each q
+        parts = []
+        for q in qs:
+            qk = 1
+            while m1 % (qk * q) == 0:
+                qk *= q
+            if qk == 1:
+                continue
+            hq = pow(he, m1 // qk, p)
+            gam, steps = pow(hq, qk // q, p), math.isqrt(q - 1) + 1
+            digits, hinv, qi = [], pow(hq, -1, p), 1  # (exponent into <gam>, hq^-qi, qi)
+            while qi < qk:
+                digits.append((qk // (qi * q), hinv, qi))
+                hinv, qi = pow(hinv, q, p), qi * q
+            parts.append((m1 // qk, digits, {pow(gam, j, p): j for j in range(steps)},
+                          pow(gam, -steps, p), steps, m1 // qk * pow(m1 // qk, -1, qk)))
+        plan = self._plans[e] = (pow(e, -1, s), h, parts, mu)
+        return plan
+
     def extract_roots(self, value: int, e: int, index_multiple: int = 1) -> tuple[int, ...]:
         """All y with y^e = value whose index is a multiple of index_multiple.
 
         value has e-th roots exactly when value^((p-1)/e) = 1, and then it has
         e of them.  One root y comes without a full discrete log: write
         p - 1 = m*s, where m holds exactly the primes of e, so e is invertible
-        mod s.  y0 = value^(e^-1 mod s) is a root up to r = value / y0^e, which
-        lies in the order-m subgroup <h>, h = g^s; its log c to base h
-        (Pohlig-Hellman over primes <= e) is a multiple of e, and
-        y = y0 * h^(c/e).  The roots are y*zeta^t for t < e, zeta of order e;
-        the index filter keeps those with y^((p-1)/index_multiple) = 1.
-        value = 0 is a domain error because ind 0 is undefined.  Result
-        sorted ascending.  Walking the e roots is charged e operations
-        against the operation budget.
+        mod s.  y0 = value^(e^-1 mod s) is a root up to r = value / y0^e,
+        which lies in <h^e>, h of order m; its log c to base h^e
+        (Pohlig-Hellman over the primes of e, baby-step giant-step for each
+        digit) gives y = y0 * h^c.  The roots are y*zeta^t for t < e, zeta of
+        order e; the index filter keeps those with y^((p-1)/index_multiple)
+        = 1.  Everything but y depends on (p, e) only and is built once, on
+        the first call for e that has roots to walk.  value = 0 is a domain
+        error because ind 0 is undefined.  Result sorted ascending.  Walking
+        the e roots is charged e operations against the operation budget.
         """
         p = self.p
         if e < 1 or (p - 1) % e != 0:
@@ -264,22 +279,33 @@ class PrimeFieldCtx:
         if pow(value, (p - 1) // e, p) != 1:
             return ()
         _charge(e)
-        m = 1
-        for q in set(self.factors):
-            if e % q == 0:
-                while (p - 1) % (m * q) == 0:
-                    m *= q
-        s = (p - 1) // m
-        y = pow(value, pow(e, -1, s), p)
+        einv, h, parts, mu = self._plans.get(e) or self._root_plan(e)
+        y = pow(value, einv, p)
         r = value * pow(y, -e, p) % p
-        y = y * pow(self.g, s * (self._subgroup_log(r, m) // e), p) % p
-        zeta = self.subgroup_generator(e)
-        a, b = pow(y, (p - 1) // n, p), pow(zeta, (p - 1) // n, p)
-        roots = []
-        for _ in range(e):
-            if a == 1:
-                roots.append(y)
-            y = y * zeta % p
-            a = a * b % p
+        c = 0
+        for proj, digits, baby, giant, steps, crt in parts:
+            x, cq = pow(r, proj, p), 0
+            for exp, hinv, qi in digits:
+                t = pow(x, exp, p)
+                for i in range(steps):
+                    j = baby.get(t)
+                    if j is not None:
+                        break
+                    t = t * giant % p
+                if i or j:
+                    x = x * pow(hinv, i * steps + j, p) % p
+                    cq += (i * steps + j) * qi
+            c += cq * crt
+        y = y * pow(h, c, p) % p
+        roots = [y * z % p for z in mu]
+        if n > 1:  # y*zeta^t passes when a*b^t = 1
+            zeta = mu[1] if e > 1 else 1
+            a, b = pow(y, (p - 1) // n, p), pow(zeta, (p - 1) // n, p)
+            kept = []
+            for v in roots:
+                if a == 1:
+                    kept.append(v)
+                a = a * b % p
+            roots = kept
         roots.sort()
         return tuple(roots)

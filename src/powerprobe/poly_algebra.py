@@ -10,7 +10,7 @@ import math
 import sys
 from array import array
 
-from .ff_core import DomainError, PrimeFieldCtx, is_prime
+from .ff_core import DomainError, PrimeFieldCtx, _charge, is_prime
 
 
 class DegenerateResultantError(DomainError):
@@ -79,6 +79,20 @@ def _pack(seq, width):
     return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in seq]), "little")
 
 
+def _unpack(x, width, n):
+    # the first n width-byte slots of x, as a sequence of ints
+    raw = x.to_bytes(width * n, "little")
+    if width > 8:
+        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    spread = bytearray(8 * n)
+    for i in range(width):
+        spread[i::8] = raw[i::width]
+    slots = array("Q", spread)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
 class _RunEvaluator:
     """`run(x0, count, e)` is a(x0 + t)^e for t < count, 0 <= x0, count <= p - x0.
 
@@ -88,10 +102,12 @@ class _RunEvaluator:
     bytes, wide enough for (d+1)(p-1)^2 so that none carries into the next.
     Slots of at most 8 bytes are spread into 8-byte slots by `width` strided
     copies and read back with one array cast.  t < p keeps t! invertible.
-    The tables of t!, 1/t! and the packed 1/j! depend only on t, so they are
-    built once, grow as prefixes and are masked to each run.  Terms with
-    k >= count vanish from every slot t < count, so a run shorter than d + 1
-    needs no other path.
+    The Newton coefficients D_k / k! = sum_i (a(x0 + i) / i!) ((-1)^(k-i) /
+    (k-i)!) are one more, small, product of the same kind.  The tables of t!,
+    1/t!, the packed 1/j! and the packed (-1)^j/j! (j <= d) depend only on
+    t, so they are built once, grow as prefixes and are masked to each run.
+    Terms with k >= count vanish from every slot t < count, so a run shorter
+    than d + 1 needs no other path.
 
     The d + 1 values a(x0), ..., a(x0 + d) that seed D_k come from Horner's
     rule, except for a run that starts where the previous one ended: when
@@ -99,10 +115,10 @@ class _RunEvaluator:
     a(x0 + count + i) for the next run.
     """
 
-    __slots__ = ("a", "p", "width", "fact", "inv_fact", "packed", "next_x0", "seeds")
+    __slots__ = ("a", "p", "width", "fact", "inv_fact", "packed", "alt", "next_x0", "seeds")
 
     def __init__(self, a, p):
-        self.a, self.p, self.fact, self.inv_fact, self.packed = tuple(a), p, [1], [1], 1
+        self.a, self.p, self.fact, self.inv_fact, self.packed, self.alt = tuple(a), p, [1], [1], 1, 1
         self.width = (2 * p.bit_length() + len(a).bit_length() + 7) // 8  # bytes a slot
         self.next_x0, self.seeds = -1, []  # a(next_x0 + i) = seeds[i]
 
@@ -120,22 +136,16 @@ class _RunEvaluator:
                 new[t - 1 - m] = new[t - m] * t % p
             self.inv_fact += new
             self.packed |= _pack(new, width) << 8 * width * m
-        diffs = self.seeds[:] if x0 == self.next_x0 else [_eval(a, x0 + t, p) for t in range(d + 1)]
-        for k in range(1, d + 1):
-            for j in range(d, k - 1, -1):
-                diffs[j] = (diffs[j] - diffs[j - 1]) % p
+            if m <= d:  # the Newton product needs (-1)^j/j! for j <= d only
+                self.alt |= _pack([p - v if t % 2 else v for t, v in enumerate(new[:d + 1 - m], m)],
+                                  width) << 8 * width * m
+        k = min(d + 1, n)  # the D_k that reach a slot t < n
+        seeds = self.seeds[:k] if x0 == self.next_x0 else [_eval(a, x0 + t, p) for t in range(k)]
+        mask = (1 << 8 * width * k) - 1
+        scaled = _pack([v * i % p for v, i in zip(seeds, self.inv_fact)], width)
+        newton = _pack([v % p for v in _unpack(scaled * (self.alt & mask) & mask, width, k)], width)
         mask = (1 << 8 * width * n) - 1
-        newton = _pack([D * i % p for D, i in zip(diffs, self.inv_fact)], width)
-        raw = (newton * (self.packed & mask) & mask).to_bytes(width * n, "little")
-        if width <= 8:
-            spread = bytearray(8 * n)
-            for i in range(width):
-                spread[i::8] = raw[i::width]
-            slots = array("Q", spread)
-            if sys.byteorder == "big":
-                slots.byteswap()
-        else:
-            slots = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+        slots = _unpack(newton * (self.packed & mask) & mask, width, n)
         if n > count:
             self.next_x0 = x0 + count
             self.seeds = [v * f % p for v, f in zip(slots[count:], fact[count:n])]
@@ -721,12 +731,15 @@ def divisible_by_torsion(F: BiPoly) -> tuple[bool, BiPoly | None]:
 
     Exhaustive over exponents bounded by the bidegree of F and over the
     normalized constant; returns the witness divisor when one divides F.
+    The (du+1)(dv+1) + du*dv exponent pairs times p - 1 constants times
+    |terms| are charged against the operation budget before the first.
     """
     if F.is_zero:
         raise DomainError("zero polynomial")
     p = F.p
     terms = F.terms()
     du, dv = F.deg_u, F.deg_v
+    _charge(((du + 1) * (dv + 1) + du * dv) * (p - 1) * len(terms))
     for m in range(du + 1):
         for n in range(dv + 1):
             if m == 0 and n == 0:

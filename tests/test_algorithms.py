@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from powerprobe import ff_core
 from powerprobe.algorithms import (AlgorithmError, AmbiguousCandidatesError,
                                    DishonestOracleError,
                                    InconsistentOracleError, NoValidMError,
@@ -603,6 +604,18 @@ class TestInterpolate:
             assert res.poly == spec.f
             assert res.query_count <= res.query_budget
 
+    @pytest.mark.parametrize("p, e, d", [(1073741719, 3, 2), (1099511627689, 3, 2)])
+    def test_recovery_never_factors_p_minus_1(self, monkeypatch, p, e, d):
+        # root extraction factors e only; the context finds g and the
+        # factors of p - 1 only when asked for them
+        spec = gen_instance(p, e, d, seed=1, require_square_free=True)
+        factored = []
+        real = ff_core.factorize
+        monkeypatch.setattr(ff_core, "factorize", lambda n: factored.append(n) or real(n))
+        res = interpolate(CachingOracle(make_oracle(spec)), d)
+        assert res.poly == spec.f
+        assert factored and p - 1 not in factored
+
     def test_exponential_walk_hits_budget(self, monkeypatch):
         # e = 2, d = 40 has 2^39 root paths; the walk must stop at the budget
         monkeypatch.setenv("POWERPROBE_BUDGET", str(10 ** 6))
@@ -736,6 +749,13 @@ class TestAdversarialOracles:
                 return
         assert res.poly.degree == d and res.poly.is_monic
         assert all(pow(res.poly(x), e, p) == a for x, a in inner.transcript)
+
+    def test_step1_answers_outside_step3_checked(self):
+        # x = 1 is a zero, so f = X - 1 is fixed in step 1; step 3 checks
+        # only x <= 1, but the answer at x = 2 is no square of f(2) = 1
+        inner = ReplayOracle(13, 2, {0: 1, 1: 0, 2: 4})
+        with pytest.raises(InconsistentOracleError):
+            interpolate(CachingOracle(inner), 1)
 
 
 class TestNaive:

@@ -49,6 +49,25 @@ class TestPrimality:
         assert not is_prime(1)
         assert not is_prime(-7)
 
+    def test_strong_pseudoprimes_to_the_first_k_bases(self):
+        # A014233(k), k = 1..12: the least odd composite that passes
+        # Miller-Rabin to each of the first k prime bases
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 341550071728321,
+                  3825123056546413051, 3825123056546413051,
+                  3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+        assert 399165290221 * 798330580441 == 318665857834031151167461
+
+    def test_agrees_with_sieve(self):
+        limit = 2 * 10 ** 5
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for q in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = bytes(len(range(q * q, limit, q)))
+        assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
 
 class TestFactorize:
     def test_round_trip_small_range(self):
@@ -127,6 +146,14 @@ class TestCtxValidation:
     def test_accepts_alternative_primitive_root(self):
         ctx = PrimeFieldCtx(13, g=6)
         assert ctx.g == 6
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 1009, 65537, 1073741719,
+                                   1099511627689, (1 << 61) - 1, (1 << 62) - 57])
+    def test_lazy_root_and_factors(self, p):
+        # g and the factors of p - 1 come on first use, as the eager ones did
+        ctx = PrimeFieldCtx(p)
+        assert ctx.g == find_primitive_root(p)
+        assert ctx.factors == tuple(factorize(p - 1))
 
 
 class TestSubgroups:
@@ -212,6 +239,16 @@ class TestExtractRoots:
             ctx.extract_roots(8, 3)
         assert ctx.extract_roots(2, 3) == ()  # no roots to walk
         assert ctx.extract_roots(4, 2) == (2, 11)
+        assert 3 not in ctx._plans  # the refused e got no root plan
+
+    def test_huge_e_refused_before_its_plan(self):
+        # mu_e would hold 1,164,127,965 elements: the charge refuses at once
+        p, e = (1 << 61) - 1, 1164127965
+        assert (p - 1) % e == 0
+        ctx = PrimeFieldCtx(p)
+        with pytest.raises(BudgetExceededError):
+            ctx.extract_roots(pow(3, e, p), e)
+        assert ctx._plans == {}
 
     def test_index_normalization_for_one(self):
         # ind 1 = p - 1, so the trivial filter keeps 1 exactly when n | p - 1
@@ -249,6 +286,19 @@ class TestRootProperties:
                 ctx.extract_roots(0, e, n)
             return
         assert ctx.extract_roots(value, e, n) == brute_roots(p, value, e, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([q for q in _SMALL_PRIMES if q <= 400]), st.data())
+    def test_reused_context_matches_brute(self, p, data):
+        # root plans built by earlier calls, for the same e or another, give
+        # what a fresh scan gives
+        divs = _divisors(p - 1)
+        ctx = PrimeFieldCtx(p)
+        for _ in range(data.draw(st.integers(1, 8))):
+            e = data.draw(st.sampled_from(divs))
+            n = data.draw(st.sampled_from(divs))
+            value = data.draw(st.integers(1, p - 1))
+            assert ctx.extract_roots(value, e, n) == brute_roots(p, value, e, n)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(40, 61), st.integers(0, 1 << 62), st.integers(1, 1 << 62),

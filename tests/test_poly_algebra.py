@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from powerprobe.ff_core import DomainError, PrimeFieldCtx, is_prime
+from powerprobe.ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, is_prime
 from powerprobe.poly_algebra import (BiPoly, DegenerateResultantError, Poly,
                                      RationalFn, _RunEvaluator, _general_roots,
                                      divisible_by_torsion,
@@ -245,6 +245,24 @@ class TestEvalRun:
         assert runs.width == width
         assert runs.run(x0, 400) == [f(x0 + t) for t in range(400)]
         assert runs.run(x0 + 400, 400) == [f(x0 + 400 + t) for t in range(400)]
+
+    def test_constant(self):
+        # d = 0: one Newton coefficient, the constant itself
+        runs = _RunEvaluator((7,), 65537)
+        assert runs.run(5, 100, 2) == [49] * 100
+        assert runs.run(105, 3) == [7] * 3
+        assert runs.run(65537 - 4, 4) == [7] * 4
+
+    def test_short_run_at_the_end(self):
+        # a run of fewer than d + 1 points that ends at p - 1, where
+        # count + d + 1 > p, computes only its own slots and so only that
+        # many Newton coefficients
+        p, d = 13, 20
+        f = Poly(p, list(range(3, 3 + d)) + [1])
+        runs = _RunEvaluator(f.coeffs, p)
+        for count in (1, 5, 12, 0, 13):
+            assert runs.run(p - count, count) == [f(p - count + t) for t in range(count)]
+        assert runs.run(0, 3, 3) == [pow(f(t), 3, p) for t in range(3)]
 
     def test_rejects_run_past_p(self):
         runs = _RunEvaluator((1, 1), 13)
@@ -563,6 +581,12 @@ class TestTorsionDivisor:
             for v in range(13):
                 if witness(u, v) == 0:
                     assert (tor * other)(u, v) == 0
+
+    def test_search_charged_before_it_starts(self):
+        # about 2^61 constants for each exponent pair: refused at once
+        F = BiPoly.from_terms((1 << 61) - 1, {(1, 1): 1, (1, 0): 2, (0, 0): 3})
+        with pytest.raises(BudgetExceededError):
+            divisible_by_torsion(F)
 
     def test_scaled_torsion_detected(self):
         F = BiPoly.from_terms(13, {(2, 1): 3, (0, 0): 7})
