@@ -80,11 +80,12 @@ def _as_fraction(c) -> Fraction:
 
 
 def regime_condition_holds(p: int, e: int, d: int, c=1) -> bool:
-    """Exact check of e <= c * min(p d^(-3/2), p^(3/2) d^(-7/2)), by squaring."""
+    """Exact check of e <= c * min(p d^(-3/2), p^(3/2) d^(-7/2)), by squaring
+    when c > 0 (for c <= 0 the right side is not positive, so it fails)."""
     c = _as_fraction(c)
     num, den = c.numerator, c.denominator
-    return (e * e * d ** 3 * den * den <= num * num * p * p
-            and e * e * d ** 7 * den * den <= num * num * p ** 3)
+    return num > 0 and (e * e * d ** 3 * den * den <= num * num * p * p
+                        and e * e * d ** 7 * den * den <= num * num * p ** 3)
 
 
 def compute_window(p: int, e: int, d: int, c1=1) -> WindowParams:
@@ -457,7 +458,7 @@ def step2_candidates(group: PairGroup, d: int, p: int,
         rank_log = RankLog()
     prs = group.pairs
     chain = len(prs) > d and all(b.x == a.x + group.h for a, b in zip(prs, prs[1:]))
-    found = (_chain_solve if chain else _pencil_walk)(group, d, p, rank_log, _budget(None))
+    found = (_chain_solve if chain else _pencil_walk)(group, d, p, rank_log, _budget())
     return CandidateSet([Poly(p, c) for c in sorted(found)], rank_log)
 
 

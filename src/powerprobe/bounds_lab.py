@@ -27,19 +27,19 @@ from .algorithms import choose_m, compute_window, shifted_condition_holds
 
 # ---------- value sets of rational functions ----------
 
-def _value_set_validate(psi, H, e, p, budget):
+def _value_set_validate(psi, H, e, p):
     if not 1 <= H <= p - 1:
         raise DomainError("H must lie in [1, p-1]")
     if (p - 1) % e != 0:
         raise DomainError("e must divide p - 1")
-    _charge(H * (psi.degree + 2) + e, budget)
+    _charge(H * (psi.degree + 2) + e)
 
 
 def count_value_set_in_subgroup(psi: RationalFn, H: int, e: int,
-                                ctx: PrimeFieldCtx, budget: int | None = None) -> int:
+                                ctx: PrimeFieldCtx) -> int:
     """Number of distinct values psi(x), x = 1..H, landing in the order-e subgroup."""
     p = ctx.p
-    _value_set_validate(psi, H, e, p, budget)
+    _value_set_validate(psi, H, e, p)
     values = set()
     for x in range(1, H + 1):
         v = psi.eval_at(x)
@@ -50,10 +50,10 @@ def count_value_set_in_subgroup(psi: RationalFn, H: int, e: int,
 
 
 def count_value_set_in_subgroup_alt(psi: RationalFn, H: int, e: int,
-                                    ctx: PrimeFieldCtx, budget: int | None = None) -> int:
+                                    ctx: PrimeFieldCtx) -> int:
     """Second strategy: sorted-list dedup plus power test for membership."""
     p = ctx.p
-    _value_set_validate(psi, H, e, p, budget)
+    _value_set_validate(psi, H, e, p)
     num, den = psi.num.coeffs, psi.den.coeffs
     seen = []
     for x in range(1, H + 1):
@@ -85,31 +85,31 @@ def envelope_value_set(d: int, e: int, p: int, H: int, constant: float = 1.0) ->
 
 # ---------- curve points on products of subgroups ----------
 
-def _curve_points_validate(F, e1, e2, p, budget):
+def _curve_points_validate(F, e1, e2, p):
     if F.p != p:
         raise DomainError("mixed moduli")
     if F.is_zero:
         raise DomainError("zero polynomial")
     if (p - 1) % e1 or (p - 1) % e2:
         raise DomainError("subgroup orders must divide p - 1")
-    _charge(e1 * e2 * (F.deg_u + 1) * (F.deg_v + 1), budget)
+    _charge(e1 * e2 * (F.deg_u + 1) * (F.deg_v + 1))
 
 
 def count_curve_points_on_subgroups(F: BiPoly, e1: int, e2: int,
-                                    ctx: PrimeFieldCtx, budget: int | None = None) -> int:
+                                    ctx: PrimeFieldCtx) -> int:
     """Zeros of F(U, V) with U in the order-e1 and V in the order-e2 subgroup."""
     p = ctx.p
-    _curve_points_validate(F, e1, e2, p, budget)
+    _curve_points_validate(F, e1, e2, p)
     g1 = ctx.subgroup_elements(e1)
     g2 = ctx.subgroup_elements(e2)
     return sum(1 for u in g1 for v in g2 if F(u, v) == 0)
 
 
 def count_curve_points_on_subgroups_alt(F: BiPoly, e1: int, e2: int,
-                                        ctx: PrimeFieldCtx, budget: int | None = None) -> int:
+                                        ctx: PrimeFieldCtx) -> int:
     """Second strategy: specialize U, then scan the V subgroup per row."""
     p = ctx.p
-    _curve_points_validate(F, e1, e2, p, budget)
+    _curve_points_validate(F, e1, e2, p)
     count = 0
     width = F.deg_v + 1
     for u in ctx.subgroup_elements(e1):
@@ -134,7 +134,7 @@ def envelope_curve_points(d: int, W: int, p: int, constant: float = 1.0) -> floa
 
 # ---------- shifted subgroup intersections ----------
 
-def _shifted_validate(e, shifts, scales, p, budget):
+def _shifted_validate(e, shifts, scales, p):
     if (p - 1) % e != 0:
         raise DomainError("e must divide p - 1")
     shifts = [s % p for s in shifts]
@@ -147,19 +147,19 @@ def _shifted_validate(e, shifts, scales, p, budget):
         raise DomainError("shifts must be pairwise distinct")
     if any(s == 0 for s in scales):
         raise DomainError("scales must be nonzero")
-    _charge(e * (len(shifts) + 2), budget)
+    _charge(e * (len(shifts) + 2))
     return shifts, scales
 
 
-def count_shifted_subgroup_intersection(e: int, shifts, scales, ctx: PrimeFieldCtx,
-                                        budget: int | None = None) -> tuple[int, bool]:
+def count_shifted_subgroup_intersection(e: int, shifts, scales,
+                                        ctx: PrimeFieldCtx) -> tuple[int, bool]:
     """Size of G inter (mu_1 G + xi_1) inter ... for the order-e subgroup G.
 
     Shifts must be pairwise distinct and nonzero, scales nonzero.  Also reports
     whether the size condition on p relative to e and m held.
     """
     p = ctx.p
-    shifts, scales = _shifted_validate(e, shifts, scales, p, budget)
+    shifts, scales = _shifted_validate(e, shifts, scales, p)
     sub = ctx.subgroup_elements(e)
     result = set(sub)
     for mu, xi in zip(scales, shifts):
@@ -167,11 +167,10 @@ def count_shifted_subgroup_intersection(e: int, shifts, scales, ctx: PrimeFieldC
     return len(result), shifted_condition_holds(p, e, len(shifts))
 
 
-def count_shifted_subgroup_intersection_alt(e: int, shifts, scales, ctx: PrimeFieldCtx,
-                                            budget: int | None = None) -> int:
+def count_shifted_subgroup_intersection_alt(e: int, shifts, scales, ctx: PrimeFieldCtx) -> int:
     """Second strategy: per-element membership through the power test."""
     p = ctx.p
-    shifts, scales = _shifted_validate(e, shifts, scales, p, budget)
+    shifts, scales = _shifted_validate(e, shifts, scales, p)
     inv_scales = [pow(mu, -1, p) for mu in scales]
     count = 0
     for lam in ctx.subgroup_elements(e):
@@ -207,11 +206,11 @@ def _interp_strategies(xs, e, d, p):
     return _interp_count_coeff, _interp_count_lambda
 
 
-def _interp_count_coeff(xs, As, e, d, ctx, budget):
+def _interp_count_coeff(xs, As, e, d, ctx):
     # For fixed upper coefficients, c0 -> f(x_0) is a bijection of F_p, so
     # f(x_0)^e = A_0 leaves one c0 per e-th root of A_0 to test on the rest.
     p = ctx.p
-    _charge(_coeff_cost(xs, e, d, p), budget)
+    _charge(_coeff_cost(xs, e, d, p))
     count = int(all(a == 1 for a in As))  # f = 1
     roots = ctx.extract_roots(As[0], e)
     x0, rest = xs[0], list(zip(xs[1:], As[1:]))
@@ -227,7 +226,7 @@ def _interp_count_coeff(xs, As, e, d, ctx, budget):
     return count
 
 
-def _interp_count_lambda(xs, As, e, d, ctx, budget):
+def _interp_count_lambda(xs, As, e, d, ctx):
     p = ctx.p
     if len(xs) < d + 1:
         raise DomainError("lambda strategy needs at least d + 1 nodes")
@@ -237,7 +236,7 @@ def _interp_count_lambda(xs, As, e, d, ctx, budget):
         if not r:
             return 0
         roots.append(r)
-    _charge(e ** (d + 1) * (d + 1) * (d + 1) + e ** (d + 1) * len(xs), budget)
+    _charge(e ** (d + 1) * (d + 1) * (d + 1) + e ** (d + 1) * len(xs))
     # each labeling picks an e-th root v_i of A_i at the first d + 1 nodes;
     # f = sum_i v_i L_i has its coefficients (high to low) and its values at
     # the remaining nodes as dot products of v with those of the basis
@@ -272,22 +271,20 @@ def _interp_validate(xs, As, e, ctx):
     return xs, As
 
 
-def count_interpolating_polynomials(xs, As, e: int, d: int, ctx: PrimeFieldCtx,
-                                    budget: int | None = None) -> int:
+def count_interpolating_polynomials(xs, As, e: int, d: int, ctx: PrimeFieldCtx) -> int:
     """Monic f of degree at most d with f(x_i)^e = A_i for all i.
 
     Enumerates either p^(deg-1) coefficient tuples or e^(d+1) root-of-unity
     labelings of interpolation values, whichever is cheaper within budget.
     """
     xs, As = _interp_validate(xs, As, e, ctx)
-    return _interp_strategies(xs, e, d, ctx.p)[0](xs, As, e, d, ctx, budget)
+    return _interp_strategies(xs, e, d, ctx.p)[0](xs, As, e, d, ctx)
 
 
-def count_interpolating_polynomials_alt(xs, As, e: int, d: int, ctx: PrimeFieldCtx,
-                                        budget: int | None = None) -> int:
+def count_interpolating_polynomials_alt(xs, As, e: int, d: int, ctx: PrimeFieldCtx) -> int:
     """Second strategy: whichever enumeration the primary would not pick."""
     xs, As = _interp_validate(xs, As, e, ctx)
-    return _interp_strategies(xs, e, d, ctx.p)[1](xs, As, e, d, ctx, budget)
+    return _interp_strategies(xs, e, d, ctx.p)[1](xs, As, e, d, ctx)
 
 
 def envelope_interpolating_count(e: int, d: int, constant: float = 1.0,
@@ -348,18 +345,36 @@ def load_grid(path) -> dict:
     return grid
 
 
+def _int_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(x, int) for x in v)
+
+
 def validate_grid(grid: dict) -> None:
     if not isinstance(grid, dict):
         raise DomainError("grid spec must be a JSON object")
     unknown = set(grid) - _GRID_KEYS
     if unknown:
         raise DomainError("unknown grid keys: %s" % ", ".join(sorted(unknown)))
-    for exp in grid.get("experiments", ()):
+    if not _int_list(grid.get("primes", [])):
+        raise DomainError("primes must be a list of ints")
+    experiments = grid.get("experiments", [])
+    if not isinstance(experiments, list):
+        raise DomainError("experiments must be a list")
+    for exp in experiments:
         if exp not in EXPERIMENTS:
             raise DomainError("unknown experiment %r" % exp)
+    policy = grid.get("e_divisor_policy", "all")
+    if not (policy in ("all", None) or _int_list(policy) and 0 not in policy
+            or isinstance(policy, dict) and isinstance(policy.get("max"), int)):
+        raise DomainError('e_divisor_policy must be "all", {"max": int} '
+                          'or a list of nonzero ints')
     dr = grid.get("d_range", [1, 1])
-    if not (isinstance(dr, list) and len(dr) == 2 and all(isinstance(v, int) for v in dr)):
+    if not (_int_list(dr) and len(dr) == 2):
         raise DomainError("d_range must be [lo, hi]")
+    if not isinstance(grid.get("seed", 0), int):
+        raise DomainError("seed must be an int")
+    if not isinstance(grid.get("constant", 1.0), (int, float)):
+        raise DomainError("constant must be a number")
 
 
 def _divisors(n: int) -> list[int]:
@@ -373,16 +388,14 @@ def _divisors(n: int) -> list[int]:
 
 
 def _cell_es(p: int, policy) -> list[int]:
-    if policy == "all" or policy is None:
-        return _divisors(p - 1)
-    if isinstance(policy, dict) and "max" in policy:
-        return [e for e in _divisors(p - 1) if e <= policy["max"]]
+    # policy has passed validate_grid
     if isinstance(policy, list):
         for e in policy:
             if (p - 1) % e != 0:
                 raise DomainError("e = %d does not divide p - 1 for p = %d" % (e, p))
         return sorted(policy)
-    raise DomainError("bad e_divisor_policy")
+    es = _divisors(p - 1)
+    return [e for e in es if e <= policy["max"]] if isinstance(policy, dict) else es
 
 
 def _cell_H(p: int, e: int, d: int, policy) -> int:
@@ -423,11 +436,11 @@ def _draw_psi(rng, p, d, ctx):
     raise DomainError("no valid rational function found")
 
 
-def _run_cell(exp, p, e, d, rng, ctx, constant, budget, H_policy):
+def _run_cell(exp, p, e, d, rng, ctx, constant, H_policy):
     if exp == "value_set":
         H = _cell_H(p, e, d, H_policy)
         psi = _draw_psi(rng, p, d, ctx)
-        measured = count_value_set_in_subgroup(psi, H, e, ctx, budget)
+        measured = count_value_set_in_subgroup(psi, H, e, ctx)
         return measured, envelope_value_set(d, e, p, H, constant), H, None
     if exp == "curve_points":
         f = _draw_poly(rng, p, d)
@@ -436,7 +449,7 @@ def _run_cell(exp, p, e, d, rng, ctx, constant, budget, H_policy):
             g = Poly.one(p)
         a = 1 + rng.randrange(p - 1)
         R = resultant_shifted(f, g, a)
-        measured = count_curve_points_on_subgroups(R, e, e, ctx, budget)
+        measured = count_curve_points_on_subgroups(R, e, e, ctx)
         env = envelope_curve_points(max(1, R.total_degree), e * e, p, constant)
         return measured, env, None, None
     if exp == "shifted_intersection":
@@ -445,7 +458,7 @@ def _run_cell(exp, p, e, d, rng, ctx, constant, budget, H_policy):
             raise DomainError("not enough distinct shifts available")
         shifts = rng.sample(range(1, p), m)
         scales = [1 + rng.randrange(p - 1) for _ in range(m)]
-        measured, _held = count_shifted_subgroup_intersection(e, shifts, scales, ctx, budget)
+        measured, _held = count_shifted_subgroup_intersection(e, shifts, scales, ctx)
         return measured, envelope_shifted_intersection(e, m, constant), None, m
     if exp == "interpolating_count":
         m = choose_m(p, e, m_cap=8)
@@ -454,19 +467,19 @@ def _run_cell(exp, p, e, d, rng, ctx, constant, budget, H_policy):
             raise DomainError("node range exceeds the field")
         f = _draw_poly(rng, p, d, square_free=True, avoid_roots=xs)
         As = [pow(f(x), e, p) for x in xs]
-        measured = count_interpolating_polynomials(xs, As, e, d, ctx, budget)
+        measured = count_interpolating_polynomials(xs, As, e, d, ctx)
         return measured, envelope_interpolating_count(e, d, constant), None, m
     raise DomainError("unknown experiment %r" % exp)
 
 
-def sweep(grid: dict, budget: int | None = None) -> list[BoundReport]:
+def sweep(grid: dict) -> list[BoundReport]:
     """Run every grid cell; per-cell failures become error rows, never aborts."""
     validate_grid(grid)
     primes = sorted(grid.get("primes", []))
     experiments = sorted(grid.get("experiments", []))
     d_lo, d_hi = grid.get("d_range", [1, 1])
     constant = float(grid.get("constant", 1.0))
-    base_seed = int(grid.get("seed", 0))
+    base_seed = grid.get("seed", 0)
     e_policy = grid.get("e_divisor_policy", "all")
     H_policy = grid.get("H_policy", "window")
     reports = []
@@ -486,7 +499,7 @@ def sweep(grid: dict, budget: int | None = None) -> list[BoundReport]:
                         if ctx is None:
                             raise DomainError("no field context for p = %d" % p)
                         measured, envelope, H, m = _run_cell(
-                            exp, p, e, d, rng, ctx, constant, budget, H_policy)
+                            exp, p, e, d, rng, ctx, constant, H_policy)
                         ratio = measured / envelope if envelope else None
                         status = "ok"
                     except BudgetExceededError:

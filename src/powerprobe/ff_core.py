@@ -1,12 +1,11 @@
 """Exact arithmetic in prime fields: contexts, subgroups, e-th roots, and the
 operation budget.
 
-Contexts and root extraction build no table sized by p or sqrt(p), and
-recovery never factors p - 1: a context finds its primitive root and the
-factors of p - 1 only when asked for them.  e-th roots come from a few
-modular powers plus a discrete log in the subgroup whose order holds only
-the primes of e (Adleman-Manders-Miller, in its Pohlig-Hellman form), with
-everything that depends only on (p, e) computed once per context.
+Contexts and root extraction build no table sized by p or sqrt(p), and a
+context never factors p - 1.  e-th roots come from a few modular powers plus a
+discrete log in the subgroup whose order holds only the primes of e
+(Adleman-Manders-Miller, in its Pohlig-Hellman form), with everything that
+depends only on (p, e), the subgroup mu_e among it, computed once per context.
 """
 
 from __future__ import annotations
@@ -34,19 +33,17 @@ class BudgetExceededError(RuntimeError):
     """The enumeration would exceed the operation budget."""
 
 
-def _budget(budget: int | None) -> int:
-    # an explicit budget, else POWERPROBE_BUDGET, else DEFAULT_BUDGET
-    if budget is not None:
-        return budget
+def _budget() -> int:
+    # POWERPROBE_BUDGET, else DEFAULT_BUDGET
     try:
         return int(os.environ.get("POWERPROBE_BUDGET", DEFAULT_BUDGET))
     except ValueError:
         return DEFAULT_BUDGET
 
 
-def _charge(estimate: int, budget: int | None = None) -> None:
+def _charge(estimate: int) -> None:
     # refuse, before any of it is done, work estimated above the budget
-    if estimate > _budget(budget):
+    if estimate > _budget():
         raise BudgetExceededError("budget: estimated %d ops" % estimate)
 
 
@@ -162,59 +159,29 @@ def find_primitive_root(p: int) -> int:
 
 
 class PrimeFieldCtx:
-    """Arithmetic context for F_p: prime modulus, primitive root g, factored
-    p - 1, and a root plan for each e it has extracted e-th roots for.
+    """Arithmetic context for F_p: a prime modulus and a root plan for each e
+    it has extracted e-th roots for.
 
-    The constructor checks only that p is a prime below 2^62 (and a given g
-    at once).  `g`, the smallest primitive root unless one is given, and
-    `factors`, those of p - 1 with multiplicity, are computed on first use;
-    root extraction uses neither.  Field elements are plain ints in [0, p).
+    The constructor checks only that p is a prime below 2^62; a plan is built
+    on the first root walk for its e and factors only e, so a context never
+    factors p - 1.  Field elements are plain ints in [0, p).
     """
 
-    __slots__ = ("p", "_g", "_factors", "_plans")
+    __slots__ = ("p", "_plans")
 
-    def __init__(self, p: int, g: int | None = None):
+    def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise DomainError("modulus must be prime")
         if p >= MAX_MODULUS:
             raise DomainError("modulus must be below 2^62")
-        self.p, self._g, self._factors, self._plans = p, None, None, {}
-        if g is not None:
-            if not 1 <= g < p:
-                raise DomainError("primitive root out of range")
-            if not _generates(g, p, set(self.factors)):
-                raise DomainError("%d is not a primitive root mod %d" % (g, p))
-            self._g = g
-
-    @property
-    def factors(self) -> tuple[int, ...]:
-        if self._factors is None:
-            self._factors = tuple(factorize(self.p - 1))
-        return self._factors
-
-    @property
-    def g(self) -> int:
-        if self._g is None:
-            radicals = set(self.factors)
-            self._g = next(x for x in range(1, self.p) if _generates(x, self.p, radicals))
-        return self._g
+        self.p, self._plans = p, {}
 
     # ---------- subgroups and roots ----------
 
-    def subgroup_generator(self, order: int) -> int:
-        if order < 1 or (self.p - 1) % order != 0:
-            raise DomainError("order must divide p - 1")
-        return pow(self.g, (self.p - 1) // order, self.p)
-
     def subgroup_elements(self, order: int) -> tuple[int, ...]:
-        """All solutions of x^order = 1, sorted ascending."""
-        gen = self.subgroup_generator(order)
-        elems = [1]
-        acc = gen
-        while acc != 1:
-            elems.append(acc)
-            acc = acc * gen % self.p
-        return tuple(sorted(elems))
+        """All solutions of x^order = 1, sorted ascending: the roots of 1, so
+        charged and planned as every root walk is."""
+        return self.extract_roots(1, order)
 
     def _root_plan(self, e: int):
         # (e^-1 mod s, h, the Pohlig-Hellman parts, mu_e = zeta^0..zeta^(e-1)):

@@ -249,19 +249,21 @@ def instance_to_json(instance: InstanceSpec, redact: bool = False) -> str:
 
 def instance_from_json(text: str) -> InstanceSpec:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise DomainError("instance file must hold a JSON object")
     for key in ("p", "e", "d"):
         if key not in obj:
             raise DomainError("instance file missing field %r" % key)
-    p = int(obj["p"])
-
-    def parse_poly(key):
-        if key not in obj:
-            return None
-        return Poly(p, [int(c) for c in obj[key]])
-
-    return InstanceSpec(p=p, e=int(obj["e"]), d=int(obj["d"]),
-                        f=parse_poly("f"), g=parse_poly("g"),
-                        seed=int(obj["seed"]) if "seed" in obj else None)
+    for key in ("f", "g"):
+        if not isinstance(obj.get(key, []), list):
+            raise DomainError("instance field %r must be a list" % key)
+    try:
+        p, e, d = int(obj["p"]), int(obj["e"]), int(obj["d"])
+        f, g = (Poly(p, [int(c) for c in obj[k]]) if k in obj else None for k in ("f", "g"))
+        seed = int(obj["seed"]) if "seed" in obj else None
+    except TypeError:
+        raise DomainError("instance numbers must be integers") from None
+    return InstanceSpec(p=p, e=e, d=d, f=f, g=g, seed=seed)
 
 
 def write_instance(instance: InstanceSpec, path, redact: bool = False) -> None:

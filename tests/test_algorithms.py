@@ -58,6 +58,12 @@ class TestRegimeCondition:
                                 <= cf.numerator ** 2 * p ** 3)
                         assert regime_condition_holds(p, e, d, c) == want
 
+    def test_nonpositive_constant_fails(self):
+        # e >= 1 exceeds c * min(...) <= 0: squaring must not drop the sign
+        for c in (-1, Fraction(-1, 2), 0):
+            for p, e, d in ((101, 5, 2), (10007, 1, 1), (13, 1, 1)):
+                assert not regime_condition_holds(p, e, d, c)
+
 
 class TestComputeWindow:
     def test_frozen_examples(self):

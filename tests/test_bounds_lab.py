@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerprobe import bounds_lab
+from powerprobe import bounds_lab, ff_core
 from powerprobe.bounds_lab import (BoundReport, BudgetExceededError,
                                    CSV_HEADER, EXPERIMENTS,
                                    count_curve_points_on_subgroups,
@@ -170,6 +170,17 @@ class TestShiftedIntersection:
                     assert primary == count_shifted_subgroup_intersection_alt(
                         e, shifts, scales, ctx)
 
+    def test_counter_never_factors_p_minus_1(self, monkeypatch):
+        # the order-6 subgroup at 2^61 - 1 comes from the root plan for 6
+        p = (1 << 61) - 1
+        calls = []
+        real = ff_core.factorize
+        monkeypatch.setattr(ff_core, "factorize", lambda n: calls.append(n) or real(n))
+        count, _ = count_shifted_subgroup_intersection(6, [1], [p - 1], PrimeFieldCtx(p))
+        assert count == count_shifted_subgroup_intersection_alt(6, [1], [p - 1],
+                                                                PrimeFieldCtx(p))
+        assert p - 1 not in calls and calls
+
     def test_condition_frozen(self):
         assert shifted_condition_holds(31, 5, 0)
         assert shifted_condition_holds(31, 2, 1)   # (2+4)*2 = 12 <= 31
@@ -255,14 +266,15 @@ class TestInterpCountStrategies:
             As = data.draw(st.lists(st.integers(1, p - 1), min_size=len(xs), max_size=len(xs)))
         ctx = PrimeFieldCtx(p)
         want = brute_interp_count(xs, As, e, d, p)
-        assert bounds_lab._interp_count_coeff(xs, As, e, d, ctx, None) == want
+        assert bounds_lab._interp_count_coeff(xs, As, e, d, ctx) == want
         if len(xs) >= d + 1:
-            assert bounds_lab._interp_count_lambda(xs, As, e, d, ctx, None) == want
+            assert bounds_lab._interp_count_lambda(xs, As, e, d, ctx) == want
 
-    def test_budget_refused(self):
+    def test_budget_refused(self, monkeypatch):
+        monkeypatch.setenv("POWERPROBE_BUDGET", "1000")
         ctx = PrimeFieldCtx(101)
         with pytest.raises(BudgetExceededError):
-            bounds_lab._interp_count_coeff([1, 2], [1, 1], 4, 2, ctx, budget=1000)
+            bounds_lab._interp_count_coeff([1, 2], [1, 1], 4, 2, ctx)
 
     def test_coefficient_cell_within_default_budget(self):
         # f(0)^2 = 49 and f(1)^2 = 81 with f monic of degree <= 3 over F_401:
@@ -288,11 +300,6 @@ class TestInterpCountStrategies:
 
 
 class TestBudget:
-    def test_explicit_budget_refused(self):
-        ctx = PrimeFieldCtx(101)
-        with pytest.raises(BudgetExceededError):
-            count_value_set_in_subgroup(ident(101), 100, 4, ctx, budget=10)
-
     def test_env_budget(self, monkeypatch):
         monkeypatch.setenv("POWERPROBE_BUDGET", "10")
         ctx = PrimeFieldCtx(101)
@@ -314,6 +321,25 @@ class TestGridValidation:
     def test_bad_d_range(self):
         with pytest.raises(DomainError):
             validate_grid({"d_range": [1]})
+
+    @pytest.mark.parametrize("bad", [
+        {"primes": ["a"]}, {"primes": [2.5]}, {"primes": 101},
+        {"experiments": "value_set"}, {"experiments": 5},
+        {"e_divisor_policy": [0]}, {"e_divisor_policy": ["a"]},
+        {"e_divisor_policy": {"max": "x"}}, {"e_divisor_policy": {"min": 2}},
+        {"e_divisor_policy": "some"}, {"e_divisor_policy": 4},
+        {"seed": [1]}, {"seed": "1"}, {"constant": [1]}, {"constant": "2"}])
+    def test_bad_shapes(self, bad):
+        grid = {"primes": [13], "experiments": ["value_set"], **bad}
+        with pytest.raises(DomainError):
+            validate_grid(grid)
+        with pytest.raises(DomainError):
+            sweep(grid)
+
+    @pytest.mark.parametrize("policy", ["all", None, {"max": 4}, [1, 3], [-4]])
+    def test_good_policies(self, policy):
+        validate_grid({"primes": [13], "e_divisor_policy": policy, "seed": 2,
+                       "constant": 0.5})
 
     def test_load_grid(self, tmp_path):
         path = tmp_path / "g.json"
@@ -367,10 +393,11 @@ class TestSweep:
         err = [r for r in reports if r.status == "error"][0]
         assert err.measured is None and err.ratio is None
 
-    def test_budget_rows(self):
+    def test_budget_rows(self, monkeypatch):
+        monkeypatch.setenv("POWERPROBE_BUDGET", "5")
         grid = {"primes": [101], "e_divisor_policy": [4], "d_range": [2, 2],
                 "experiments": ["value_set"]}
-        reports = sweep(grid, budget=5)
+        reports = sweep(grid)
         assert [r.status for r in reports] == ["budget"]
 
     def test_bad_prime_gives_error_rows(self):

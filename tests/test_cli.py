@@ -118,6 +118,15 @@ class TestInterpolate:
         assert data["rank_violations"] == 0
         assert data["query_count"] <= data["query_budget"]
 
+    @pytest.mark.parametrize("text", ['{"p": 101, "e": 5, "d": 2, "f": 5}', "5"])
+    def test_malformed_instance_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "interpolate", "--instance", str(path))
+        assert code == 2
+        assert out.count("\n") == 1 and "error" in payload(out)
+        assert "Traceback" not in err
+
     def test_exponential_walk_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("POWERPROBE_BUDGET", str(10 ** 6))
         code, out, err = run(capsys, "interpolate", "--p", "65537", "--e", "2",
@@ -244,6 +253,27 @@ class TestSweep:
         assert code == 2
         assert "unknown grid keys" in payload(out)["error"]
 
+    @pytest.mark.parametrize("bad", [
+        {"e_divisor_policy": [0]}, {"e_divisor_policy": ["a"]},
+        {"e_divisor_policy": {"max": "x"}}, {"primes": ["a"]}, {"primes": [2.5]},
+        {"primes": 101}, {"seed": [1]}, {"constant": [1]}])
+    def test_malformed_shapes_exit_2(self, capsys, tmp_path, bad):
+        code, out, err = run(capsys, "sweep", "--grid", str(self.grid(tmp_path, **bad)),
+                             "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert out.count("\n") == 1 and "error" in payload(out)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_e_and_bad_H_policy_give_error_rows(self, capsys, tmp_path):
+        out_csv = tmp_path / "e.csv"
+        for extra in ({"primes": [13], "e_divisor_policy": [-4]},
+                      {"H_policy": "bogus"}):
+            code, out, _ = run(capsys, "sweep", "--grid", str(self.grid(tmp_path, **extra)),
+                               "--out", str(out_csv))
+            assert code == 0
+            data = payload(out)
+            assert data["rows"] == data["error"] > 0
+
     def test_budget_rows_exit_0(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("POWERPROBE_BUDGET", "3")
         out_csv = tmp_path / "b.csv"
@@ -313,6 +343,14 @@ class TestRootsWindow:
         assert code == 0
         assert len(out.strip().splitlines()) == 1
         assert payload(out)["H"] == 100
+
+    def test_negative_c2_fails(self, capsys):
+        # e = 5 <= -min(...) is false; squaring must not drop the sign
+        for c2 in ("-1", "-1/2"):
+            code, out, _ = run(capsys, "window", "--p", "101", "--e", "5", "--d", "2",
+                               "--c2=" + c2)
+            assert code == 0
+            assert payload(out)["cond_ed_holds_c2"] is False
 
 
 class TestTopLevel:
@@ -399,8 +437,16 @@ def fuzz_files(tmp_path_factory):
          "experiments": ["value_set", "interpolating_count"], "seed": 1}))
     (root / "junk.json").write_text("{ not json")
     (root / "list.json").write_text("[1, 2]")
+    (root / "scalar_f.json").write_text('{"p": 101, "e": 5, "d": 2, "f": 5}')
+    (root / "scalar.json").write_text("5")
+    (root / "zero_e_grid.json").write_text(json.dumps(
+        {"primes": [13], "e_divisor_policy": [0], "experiments": ["value_set"]}))
+    (root / "str_prime_grid.json").write_text(json.dumps(
+        {"primes": ["a"], "experiments": ["value_set"]}))
     inputs = [str(root / name) for name in ("t.jsonl", "inst.json", "redacted.json",
-                                            "grid.json", "junk.json", "list.json", "missing")]
+                                            "grid.json", "junk.json", "list.json",
+                                            "scalar_f.json", "scalar.json", "zero_e_grid.json",
+                                            "str_prime_grid.json", "missing")]
     inputs.append(str(root))  # a directory
     outputs = [str(root / "out"), str(root / "no" / "such" / "dir"), str(root)]
     return inputs, outputs

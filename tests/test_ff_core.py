@@ -139,22 +139,6 @@ class TestCtxValidation:
         with pytest.raises(DomainError):
             PrimeFieldCtx(big)
 
-    def test_rejects_non_primitive_generator(self):
-        with pytest.raises(DomainError):
-            PrimeFieldCtx(13, g=3)  # order of 3 mod 13 is 3
-
-    def test_accepts_alternative_primitive_root(self):
-        ctx = PrimeFieldCtx(13, g=6)
-        assert ctx.g == 6
-
-    @pytest.mark.parametrize("p", [2, 3, 13, 1009, 65537, 1073741719,
-                                   1099511627689, (1 << 61) - 1, (1 << 62) - 57])
-    def test_lazy_root_and_factors(self, p):
-        # g and the factors of p - 1 come on first use, as the eager ones did
-        ctx = PrimeFieldCtx(p)
-        assert ctx.g == find_primitive_root(p)
-        assert ctx.factors == tuple(factorize(p - 1))
-
 
 class TestSubgroups:
     def test_frozen_values(self):
@@ -177,13 +161,35 @@ class TestSubgroups:
                     assert pow(a, e, p) == 1
                     for b in elems:
                         assert a * b % p in elems
-                gen = ctx.subgroup_generator(e)
-                assert len({pow(gen, k, p) for k in range(e)}) == e
 
     def test_rejects_non_divisor_order(self):
         ctx = PrimeFieldCtx(13)
         with pytest.raises(DomainError):
             ctx.subgroup_elements(5)
+
+    def test_equals_brute_force(self):
+        for p in (q for q in range(2, 500) if is_prime(q)):
+            ctx = PrimeFieldCtx(p)
+            for e in range(1, p):
+                if (p - 1) % e == 0:
+                    want = tuple(x for x in range(1, p) if pow(x, e, p) == 1)
+                    assert ctx.subgroup_elements(e) == want, (p, e)
+
+    def test_at_61_bits(self):
+        p = (1 << 61) - 1
+        ctx = PrimeFieldCtx(p)
+        for e in (1, 2, 3, 6, 7, 42, 331, 1155):
+            sub = ctx.subgroup_elements(e)
+            assert len(sub) == e and sub == tuple(sorted(sub))
+            assert all(pow(x, e, p) == 1 for x in sub)
+
+    def test_huge_order_refused(self):
+        # mu_order would hold 1,164,127,965 elements: refused before a walk
+        p, e = (1 << 61) - 1, 1164127965
+        ctx = PrimeFieldCtx(p)
+        with pytest.raises(BudgetExceededError):
+            ctx.subgroup_elements(e)
+        assert ctx._plans == {}
 
 
 class TestExtractRoots:

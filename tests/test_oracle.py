@@ -361,6 +361,15 @@ class TestInstanceFiles:
         assert back.f is None
         assert (back.p, back.e, back.d) == (13, 3, 2)
 
+    @pytest.mark.parametrize("text", ['{"p": 101, "e": 5, "d": 2, "f": 5}',
+                                      '{"p": 101, "e": 5, "d": 2, "g": {"0": 1}}',
+                                      '{"p": null, "e": 5, "d": 2}',
+                                      '{"p": 101, "e": 5, "d": 2, "f": [1, [2], 1]}',
+                                      "5", "[101, 5, 2]"])
+    def test_malformed_shapes_are_domain_errors(self, text):
+        with pytest.raises(DomainError):
+            instance_from_json(text)
+
 
 class TestTranscriptFiles:
     def test_round_trip(self, tmp_path):
