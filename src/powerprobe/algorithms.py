@@ -126,24 +126,38 @@ class IdentityVerdict:
         return "different" if self.different else "indistinguishable_on_window"
 
 
+def _scan_end(window: WindowParams, e: int) -> int:
+    # powers of degree <= d*e that agree on d*e + 1 points are equal
+    return min(window.H, window.d * e + 1)
+
+
 def identity_test(oracle_f: PowerOracle, oracle_g: PowerOracle,
                   window: WindowParams) -> IdentityVerdict:
-    """Compare two oracles on x = 1..H; first mismatch is the witness.
+    """Compare two oracles on x = 1..min(H, d*e + 1); the first mismatch is
+    the witness.
 
-    Uses at most 2H queries, and charges their 2H(d+1) field operations
-    against the operation budget before the first.  Equal answers on the
-    whole window yield the indistinguishable verdict; soundness of a
-    Different verdict is immediate from the two recorded answers.
+    Promise: both oracles answer e-th powers of polynomials of degree at
+    most `window.d`.  Then f^e - g^e has degree at most d*e, so the first
+    mismatch on 1..H, if any, is at x <= d*e + 1: verdict and witness are
+    those of a scan of all of 1..H, and equal answers on d*e + 1 <= H points
+    prove f^e = g^e.  Off the promise (say a replayed transcript that
+    matches on 1..d*e + 1 and differs later) the verdict may be
+    indistinguishable where the whole window holds a witness.
+
+    Uses at most 2T queries, T = min(H, d*e + 1), and charges their 2T(d+1)
+    field operations against the operation budget before the first.  A
+    Different verdict is sound: the two recorded answers differ.
     """
     if oracle_f.p != oracle_g.p or oracle_f.e != oracle_g.e:
         raise DomainError("oracles must share p and e")
     if window.H >= oracle_f.p:
         raise DomainError("window exceeds the field")
-    _charge(2 * window.H * (window.d + 1))
-    for x in range(1, window.H + 1):
+    end = _scan_end(window, oracle_f.e)
+    _charge(2 * end * (window.d + 1))
+    for x in range(1, end + 1):
         if oracle_f.query(x) != oracle_g.query(x):
             return IdentityVerdict(True, x, 2 * x, window)
-    return IdentityVerdict(False, None, 2 * window.H, window)
+    return IdentityVerdict(False, None, 2 * end, window)
 
 
 # ---------- interpolation: step 1 ----------
@@ -569,11 +583,12 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
         candidates = sorted((c * s1.known_factor for c in cs.polys),
                             key=lambda q: q.coeffs)
     winner, s3 = step3_filter(candidates, memo, d, window, m_cap)
-    # step 3 matched the winner at x <= max(filter_top, H), step 1 asked up to range_top
+    # step 3 matched the winner up to max(filter_top, _scan_end), step 1 asked up to range_top
+    end = _scan_end(window, e)
     if any(pow(winner(x), e, p) != memo.query(x)
-           for x in range(max(s3.filter_top, window.H) + 1, s1.range_top + 1)):
+           for x in range(max(s3.filter_top, end) + 1, s1.range_top + 1)):
         raise InconsistentOracleError("inconsistent oracle: no candidate survives filtering")
-    budget = s1.range_top + s3.filter_top + 1 + len(s3.survivors) * window.H
+    budget = s1.range_top + s3.filter_top + 1 + len(s3.survivors) * end
     ms = (time.perf_counter() - t0) * 1000.0
     return InterpolationResult(winner, p, e, d, n, memo.query_count, window,
                                s3.m, s1.zeros, candidates, len(candidates),

@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 
 # the budget lives in ff_core, which the step 2 walk shares
-from .ff_core import (BudgetExceededError, DomainError, PrimeFieldCtx, _charge,
-                      factorize)
+from .ff_core import (MAX_MODULUS, BudgetExceededError, DomainError, PrimeFieldCtx,
+                      _charge, factorize)
 from .poly_algebra import (BiPoly, Poly, RationalFn, _eval, is_square_free,
                            lagrange_basis, perfect_power_decompose, poly_gcd,
                            resultant_shifted)
@@ -355,8 +355,11 @@ def validate_grid(grid: dict) -> None:
     unknown = set(grid) - _GRID_KEYS
     if unknown:
         raise DomainError("unknown grid keys: %s" % ", ".join(sorted(unknown)))
-    if not _int_list(grid.get("primes", [])):
+    primes = grid.get("primes", [])
+    if not _int_list(primes):
         raise DomainError("primes must be a list of ints")
+    if any(p >= MAX_MODULUS for p in primes):  # no context there, and factoring p - 1 is unbounded
+        raise DomainError("primes must be below 2^62")
     experiments = grid.get("experiments", [])
     if not isinstance(experiments, list):
         raise DomainError("experiments must be a list")
@@ -488,8 +491,9 @@ def sweep(grid: dict) -> list[BoundReport]:
             ctx = PrimeFieldCtx(p)
         except DomainError:
             ctx = None
+        es = _cell_es(p, e_policy) if experiments else []
         for exp in experiments:
-            for e in _cell_es(p, e_policy):
+            for e in es:
                 for d in range(d_lo, d_hi + 1):
                     tag = "%d:%s:%d:%d:%d" % (base_seed, exp, p, e, d)
                     rng = random.Random(zlib.crc32(tag.encode()))

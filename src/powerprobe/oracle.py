@@ -13,8 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .ff_core import DomainError, is_prime
-from .poly_algebra import (Poly, RationalFn, _RunEvaluator, is_square_free,
-                           perfect_power_decompose)
+from .poly_algebra import Poly, RationalFn, is_square_free, perfect_power_decompose
 
 
 class OracleError(DomainError):
@@ -59,19 +58,17 @@ class InstanceSpec:
 class PowerOracle:
     """Base query interface: answers f(x)^e and records a transcript.
 
-    `query` serves x from the current block of precomputed answers,
-    f(_x0 + i)^e = _vals[i], when a subclass has made one, and asks
-    `_answer` otherwise.
+    `query` checks x, asks the subclass's `_answer` and logs the pair; it is
+    the one place every oracle answer passes through.
     """
 
-    __slots__ = ("p", "e", "_log", "_x0", "_vals")
+    __slots__ = ("p", "e", "_log")
 
     def __init__(self, p: int, e: int):
         _check_field(p, e)
         self.p = p
         self.e = e
         self._log: list[tuple[int, int]] = []
-        self._x0, self._vals = 0, []
 
     def _answer(self, x: int) -> int:
         raise NotImplementedError
@@ -79,8 +76,7 @@ class PowerOracle:
     def query(self, x: int) -> int:
         if not isinstance(x, int) or not 0 <= x < self.p:
             raise OracleError("query point out of range [0, p)")
-        i = x - self._x0
-        a = self._vals[i] if 0 <= i < len(self._vals) else self._answer(x)
+        a = self._answer(x)
         self._log.append((x, a))
         return a
 
@@ -98,39 +94,19 @@ class PowerOracle:
 
 
 class LocalPowerOracle(PowerOracle):
-    """Evaluates the hidden polynomial locally.
+    """Evaluates the hidden polynomial locally, by Horner's rule at each
+    query."""
 
-    A scan of consecutive x, such as identity_test's x = 1..H, is served
-    from blocks of answers f(x)^e made by `_RunEvaluator.run`.  The first
-    max(2(d+1), 128) points of a scan use Horner's rule; past them, a query
-    outside the current block starts a block of 32(d+1) points, cut at
-    p - 1.  So a scan computes at most one block past its last query, and
-    shorter scans, such as recovery's at small d, stay on Horner's rule.
-    A block that continues the previous one takes its seeds from it, not
-    from Horner's rule.  Every query still goes through `query`, and only
-    queried points are logged, so answers, transcripts and query counts are
-    those of evaluating f at each x.
-    """
-
-    __slots__ = ("_f", "_runs", "_start", "_block", "_last", "_run")
+    __slots__ = ("_f",)
 
     def __init__(self, p: int, e: int, f: Poly):
         super().__init__(p, e)
         if f.p != p or f.is_zero:
             raise DomainError("hidden polynomial must be nonzero over F_p")
-        self._f, self._runs = f, _RunEvaluator(f.coeffs, p)
-        self._start, self._block = max(2 * (f.degree + 1), 128), 32 * (f.degree + 1)
-        self._last, self._run = -1, 0   # the scan ending at _last has run _run points
+        self._f = f
 
     def _answer(self, x: int) -> int:
-        self._run = self._run + 1 if x == self._last + 1 else 1
-        self._last = x
-        if self._run <= self._start:
-            return pow(self._f(x), self.e, self.p)
-        n = min(self._block, self.p - x)
-        self._x0, self._vals = x, self._runs.run(x, n, self.e)
-        self._last = x + n - 1
-        return self._vals[0]
+        return pow(self._f(x), self.e, self.p)
 
 
 class ReplayOracle(PowerOracle):

@@ -7,8 +7,6 @@ coefficient tuple.  All types are immutable and kept in canonical form.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 
 from .ff_core import DomainError, PrimeFieldCtx, _charge, is_prime
 
@@ -73,83 +71,6 @@ def _eval(a, x, p):
     for c in reversed(a):
         acc = (acc * x + c) % p
     return acc
-
-
-def _pack(seq, width):
-    return int.from_bytes(b"".join([v.to_bytes(width, "little") for v in seq]), "little")
-
-
-def _unpack(x, width, n):
-    # the first n width-byte slots of x, as a sequence of ints
-    raw = x.to_bytes(width * n, "little")
-    if width > 8:
-        return [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
-    spread = bytearray(8 * n)
-    for i in range(width):
-        spread[i::8] = raw[i::width]
-    slots = array("Q", spread)
-    if sys.byteorder == "big":
-        slots.byteswap()
-    return slots
-
-
-class _RunEvaluator:
-    """`run(x0, count, e)` is a(x0 + t)^e for t < count, 0 <= x0, count <= p - x0.
-
-    With D_k = Delta^k a(x0), k <= d = deg a, a(x0 + t) = sum_k binom(t, k) D_k
-    = t! * sum_k (D_k / k!) * (1 / (t-k)!): one convolution, computed as one
-    big-integer product in slots of ceil((2 bitlen(p) + bitlen(d+1)) / 8)
-    bytes, wide enough for (d+1)(p-1)^2 so that none carries into the next.
-    Slots of at most 8 bytes are spread into 8-byte slots by `width` strided
-    copies and read back with one array cast.  t < p keeps t! invertible.
-    The Newton coefficients D_k / k! = sum_i (a(x0 + i) / i!) ((-1)^(k-i) /
-    (k-i)!) are one more, small, product of the same kind.  The tables of t!,
-    1/t!, the packed 1/j! and the packed (-1)^j/j! (j <= d) depend only on
-    t, so they are built once, grow as prefixes and are masked to each run.
-    Terms with k >= count vanish from every slot t < count, so a run shorter
-    than d + 1 needs no other path.
-
-    The d + 1 values a(x0), ..., a(x0 + d) that seed D_k come from Horner's
-    rule, except for a run that starts where the previous one ended: when
-    count + d + 1 <= p, a run computes d + 1 slots past its end and keeps
-    a(x0 + count + i) for the next run.
-    """
-
-    __slots__ = ("a", "p", "width", "fact", "inv_fact", "packed", "alt", "next_x0", "seeds")
-
-    def __init__(self, a, p):
-        self.a, self.p, self.fact, self.inv_fact, self.packed, self.alt = tuple(a), p, [1], [1], 1, 1
-        self.width = (2 * p.bit_length() + len(a).bit_length() + 7) // 8  # bytes a slot
-        self.next_x0, self.seeds = -1, []  # a(next_x0 + i) = seeds[i]
-
-    def run(self, x0, count, e=1):
-        a, p, d, width, fact = self.a, self.p, len(self.a) - 1, self.width, self.fact
-        if x0 < 0 or count > p - x0:
-            raise DomainError("the run must stay inside [0, p)")
-        n = count + d + 1 if count + d + 1 <= p else count  # slots computed
-        m = len(fact)
-        if n > m:  # grow the tables to t < n
-            for t in range(m, n):
-                fact.append(fact[-1] * t % p)
-            new = [pow(fact[-1], -1, p)] * (n - m)
-            for t in range(n - 1, m, -1):
-                new[t - 1 - m] = new[t - m] * t % p
-            self.inv_fact += new
-            self.packed |= _pack(new, width) << 8 * width * m
-            if m <= d:  # the Newton product needs (-1)^j/j! for j <= d only
-                self.alt |= _pack([p - v if t % 2 else v for t, v in enumerate(new[:d + 1 - m], m)],
-                                  width) << 8 * width * m
-        k = min(d + 1, n)  # the D_k that reach a slot t < n
-        seeds = self.seeds[:k] if x0 == self.next_x0 else [_eval(a, x0 + t, p) for t in range(k)]
-        mask = (1 << 8 * width * k) - 1
-        scaled = _pack([v * i % p for v, i in zip(seeds, self.inv_fact)], width)
-        newton = _pack([v % p for v in _unpack(scaled * (self.alt & mask) & mask, width, k)], width)
-        mask = (1 << 8 * width * n) - 1
-        slots = _unpack(newton * (self.packed & mask) & mask, width, n)
-        if n > count:
-            self.next_x0 = x0 + count
-            self.seeds = [v * f % p for v, f in zip(slots[count:], fact[count:n])]
-        return [pow(v * f, e, p) for v, f in zip(slots[:count], fact)]
 
 
 class Poly:

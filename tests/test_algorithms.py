@@ -157,17 +157,56 @@ class TestIdentityTest:
             assert v.different and 1 <= v.witness <= w.H
 
     def test_scan_charged_before_first_query(self, monkeypatch):
-        # 2H(d+1) = 2 * 14 * 3 = 84 operations at (101, 5, 2)
+        # the scan ends at min(H, d*e + 1) = min(14, 11): 2 * 11 * 3 = 66
+        # operations at (101, 5, 2)
         w = compute_window(101, 5, 2)
         assert w.H == 14 and w.d == 2
         of = LocalPowerOracle(101, 5, Poly(101, [1, 2, 1]))
         og = LocalPowerOracle(101, 5, Poly(101, [1, 2, 1]))
-        monkeypatch.setenv("POWERPROBE_BUDGET", "83")
+        monkeypatch.setenv("POWERPROBE_BUDGET", "65")
         with pytest.raises(BudgetExceededError):
             identity_test(of, og, w)
         assert of.query_count == og.query_count == 0
-        monkeypatch.setenv("POWERPROBE_BUDGET", "84")
-        assert identity_test(of, og, w).queries == 28
+        monkeypatch.setenv("POWERPROBE_BUDGET", "66")
+        assert identity_test(of, og, w).queries == 22
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([p for p in range(3, 200) if is_prime(p)]),
+           st.integers(1, 4), st.data())
+    def test_matches_brute_force_scan_of_the_window(self, p, d, data):
+        # f and g of degree <= d, monic or not, equal, a constant multiple
+        # of each other (equal e-th powers when c^e = 1) or unrelated
+        e = data.draw(st.sampled_from([e for e in range(1, p) if (p - 1) % e == 0]))
+
+        def poly():
+            k = data.draw(st.integers(0, d))
+            coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+            lead = data.draw(st.one_of(st.just(1), st.integers(1, p - 1)))
+            return Poly(p, coeffs + [lead])
+
+        f = poly()
+        kind = data.draw(st.sampled_from(["equal", "multiple", "other"]))
+        if kind == "equal":
+            g = f
+        elif kind == "multiple":
+            g = f * data.draw(st.integers(1, p - 1))
+        else:
+            g = poly()
+        w = compute_window(p, e, d)
+        v = identity_test(LocalPowerOracle(p, e, f), LocalPowerOracle(p, e, g), w)
+        brute = next((x for x in range(1, w.H + 1)
+                      if pow(f(x), e, p) != pow(g(x), e, p)), None)
+        assert v.different == (brute is not None) and v.witness == brute
+        assert v.queries == 2 * (brute or min(w.H, d * e + 1))
+
+    def test_equal_pair_below_the_degree_bound_scans_the_window(self):
+        # H = 1,428 < d*e + 1 = 3,466: the whole window, 2H queries
+        p, e, d = 2 ** 61 - 1, 1155, 3
+        spec = gen_instance(p, e, d, seed=1, equal_g=True)
+        w = compute_window(p, e, d)
+        assert w.H == 1428
+        v = identity_test(make_oracle(spec), make_oracle(spec, which="g"), w)
+        assert not v.different and v.queries == 2856
 
     def test_scan_order_and_early_exit(self):
         of = LocalPowerOracle(13, 1, Poly.x(13))

@@ -341,6 +341,16 @@ class TestGridValidation:
         validate_grid({"primes": [13], "e_divisor_policy": policy, "seed": 2,
                        "constant": 0.5})
 
+    @pytest.mark.parametrize("big", [2 ** 62, 2 * (2 ** 61 - 1) * (2 ** 62 - 57) + 1])
+    def test_refuses_moduli_from_2_62(self, big):
+        # the second entry's p - 1 = 2 (2^61 - 1)(2^62 - 57) is a 123-bit
+        # composite that factorize does not split in seconds
+        grid = {"primes": [13, big], "experiments": ["value_set"]}
+        with pytest.raises(DomainError, match="below 2\\^62"):
+            validate_grid(grid)
+        with pytest.raises(DomainError):
+            sweep(grid)
+
     def test_load_grid(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"primes": [13], "experiments": ["value_set"]}))
@@ -421,6 +431,15 @@ class TestSweep:
         assert len(EXPERIMENTS) == 4
         sweep(grid)
         assert sorted(built) == [13, 31]
+
+    def test_one_divisor_list_per_prime(self, monkeypatch):
+        calls = []
+        cell_es = bounds_lab._cell_es
+        monkeypatch.setattr(bounds_lab, "_cell_es",
+                            lambda p, policy: calls.append(p) or cell_es(p, policy))
+        sweep({"primes": [13, 31], "e_divisor_policy": {"max": 4}, "d_range": [1, 1],
+               "experiments": list(EXPERIMENTS)})
+        assert sorted(calls) == [13, 31]
 
     def test_divisors_match_trial_division(self):
         for n in range(1, 2001):

@@ -264,6 +264,14 @@ class TestSweep:
         assert out.count("\n") == 1 and "error" in payload(out)
         assert not (tmp_path / "x.csv").exists()
 
+    def test_modulus_from_2_62_exits_2(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "sweep", "--grid",
+                           str(self.grid(tmp_path, primes=[13, 2 ** 62 + 1])),
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert out.count("\n") == 1 and "below 2^62" in payload(out)["error"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_negative_e_and_bad_H_policy_give_error_rows(self, capsys, tmp_path):
         out_csv = tmp_path / "e.csv"
         for extra in ({"primes": [13], "e_divisor_policy": [-4]},

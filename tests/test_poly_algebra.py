@@ -1,7 +1,6 @@
 """Polynomial algebra, rational functions, resultants, torsion divisors."""
 
 import itertools
-import math
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from powerprobe.ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, is_prime
 from powerprobe.poly_algebra import (BiPoly, DegenerateResultantError, Poly,
-                                     RationalFn, _RunEvaluator, _general_roots,
+                                     RationalFn, _general_roots,
                                      divisible_by_torsion,
                                      is_square_free, lagrange_basis,
                                      lagrange_interpolate,
@@ -171,105 +170,6 @@ class TestLagrange:
             lagrange_interpolate(13, [(1, 1), (1, 2)])
         with pytest.raises(DomainError):
             lagrange_basis(13, [3, 3])
-
-
-def largest_terms_poly(p, d, x0):
-    # Newton coefficients D_k / k! = p - 1 at x0 make every product in the
-    # convolution close to p^2, so slots too narrow would carry
-    newton = [(p - 1) * math.factorial(k) for k in range(d + 1)]
-    return lagrange_interpolate(p, [(x0 + t, sum(math.comb(t, k) * D for k, D in enumerate(newton)))
-                                    for t in range(d + 1)])
-
-
-class TestEvalRun:
-    @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from([2, 3, 13, 65537, 2 ** 61 - 1, 2 ** 62 - 57]),
-           st.integers(0, 50), st.data())
-    def test_equals_horner(self, p, d, data):
-        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
-        f = Poly(p, coeffs)
-        runs = _RunEvaluator(coeffs, p)
-        # several runs of one evaluator, so that its tables grow and are
-        # masked to runs shorter than they are
-        for _ in range(data.draw(st.integers(1, 3))):
-            # x0 anywhere, or close enough to p - 1 that the run ends there
-            x0 = data.draw(st.one_of(st.integers(0, p - 1),
-                                     st.integers(max(0, p - 300), p - 1)))
-            count = data.draw(st.integers(0, min(p - x0, 300)))
-            e = data.draw(st.sampled_from([1, 2, 3]))
-            assert runs.run(x0, count, e) == [pow(f(x0 + t), e, p) for t in range(count)]
-
-    def test_whole_field(self):
-        f = Poly(13, [5, 0, 3, 1])
-        assert _RunEvaluator(f.coeffs, 13).run(0, 13) == [f(x) for x in range(13)]
-        assert _RunEvaluator((), 13).run(2, 11) == [0] * 11
-
-    def test_largest_convolution_terms(self):
-        p, d, x0 = 2 ** 62 - 57, 50, 12345
-        f = largest_terms_poly(p, d, x0)
-        assert _RunEvaluator(f.coeffs, p).run(x0, 400) == [f(x0 + t) for t in range(400)]
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from([13, 40009, 65537, 2 ** 31 - 1, 2 ** 61 - 1]),
-           st.integers(0, 40), st.data())
-    def test_chained_runs_equal_horner(self, p, d, data):
-        # a run that starts where the one before ended takes its seeds from
-        # that run's extra slots; a jump, or a run after one that ended at
-        # p - 1, takes them from Horner's rule
-        coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
-        f = Poly(p, coeffs)
-        runs = _RunEvaluator(coeffs, p)
-        x0 = data.draw(st.integers(0, p - 1))
-        for _ in range(data.draw(st.integers(1, 6))):
-            kind = data.draw(st.sampled_from(["next", "next", "jump", "tail"]))
-            if kind == "tail":
-                count = data.draw(st.integers(0, min(p, 200)))
-                x0 = p - count
-            else:
-                if kind == "jump" or x0 == p:
-                    x0 = data.draw(st.integers(0, p - 1))
-                count = data.draw(st.integers(0, min(p - x0, 200)))
-            e = data.draw(st.sampled_from([1, 2, 3]))
-            assert runs.run(x0, count, e) == [pow(f(x0 + t), e, p) for t in range(count)]
-            x0 += count
-
-    @pytest.mark.parametrize("p, d, width", [(65537, 40, 5), (2 ** 31 - 1, 2, 8),
-                                             (2 ** 31 - 1, 3, 9)])
-    def test_largest_terms_in_byte_slots(self, p, d, width):
-        # slots of 5 bytes, of exactly 8 (3(p-1)^2 < 2^64) and of 9, the
-        # first width read back slot by slot; the second run takes the first
-        # one's extra slots as seeds
-        x0 = 12345
-        f = largest_terms_poly(p, d, x0)
-        runs = _RunEvaluator(f.coeffs, p)
-        assert runs.width == width
-        assert runs.run(x0, 400) == [f(x0 + t) for t in range(400)]
-        assert runs.run(x0 + 400, 400) == [f(x0 + 400 + t) for t in range(400)]
-
-    def test_constant(self):
-        # d = 0: one Newton coefficient, the constant itself
-        runs = _RunEvaluator((7,), 65537)
-        assert runs.run(5, 100, 2) == [49] * 100
-        assert runs.run(105, 3) == [7] * 3
-        assert runs.run(65537 - 4, 4) == [7] * 4
-
-    def test_short_run_at_the_end(self):
-        # a run of fewer than d + 1 points that ends at p - 1, where
-        # count + d + 1 > p, computes only its own slots and so only that
-        # many Newton coefficients
-        p, d = 13, 20
-        f = Poly(p, list(range(3, 3 + d)) + [1])
-        runs = _RunEvaluator(f.coeffs, p)
-        for count in (1, 5, 12, 0, 13):
-            assert runs.run(p - count, count) == [f(p - count + t) for t in range(count)]
-        assert runs.run(0, 3, 3) == [pow(f(t), 3, p) for t in range(3)]
-
-    def test_rejects_run_past_p(self):
-        runs = _RunEvaluator((1, 1), 13)
-        with pytest.raises(DomainError):
-            runs.run(5, 9)
-        with pytest.raises(DomainError):
-            runs.run(-1, 2)
 
 
 class TestSquareFree:
