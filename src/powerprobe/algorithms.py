@@ -518,7 +518,7 @@ def step3_filter(candidates: list[Poly], oracle: PowerOracle, d: int,
     stats = Step3Stats(m=m, filter_top=top, candidates_in=len(candidates),
                        after_value_filter=len(stage1), survivors=stage2)
     for g in stage2:
-        sim = LocalPowerOracle(p, e, g)
+        sim = LocalPowerOracle.on_field_of(oracle, g)
         verdict = identity_test(oracle, sim, window)
         if not verdict.different:
             stats.winners.append(g)

@@ -428,10 +428,8 @@ def _draw_psi(rng, p, d, ctx):
     for _ in range(200):
         f = _draw_poly(rng, p, d)
         g = _draw_poly(rng, p, d)
-        if poly_gcd(f, g).degree > 0:
-            continue
-        psi = RationalFn(f, g)
-        if psi.is_constant:
+        psi = RationalFn(f, g)  # reduced, so den.degree < d iff gcd(f, g) != 1
+        if psi.den.degree < d or psi.is_constant:
             continue
         _, k = perfect_power_decompose(psi, ctx)
         if k == 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .ff_core import DomainError, PrimeFieldCtx, _charge, is_prime
+from .ff_core import DomainError, PrimeFieldCtx, _charge
 
 
 class DegenerateResultantError(DomainError):
@@ -162,8 +162,9 @@ class Poly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __divmod__(self, other):
@@ -206,12 +207,13 @@ class Poly:
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd; gcd with the zero polynomial is the other argument, monic."""
     f._check(g)
-    a, b = f, g
-    if a.is_zero and b.is_zero:
+    p = f.p
+    a, b = list(f.coeffs), list(g.coeffs)
+    if not a and not b:
         raise DomainError("gcd(0, 0) undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+    while b:
+        a, b = b, _divmod(a, b, p)[1]
+    return Poly(p, _scale(a, pow(a[-1], -1, p), p))
 
 
 # ---------- interpolation ----------
@@ -240,12 +242,14 @@ def lagrange_basis(p: int, xs) -> list[Poly]:
     return [Poly(p, row) for row in _lagrange_rows([x % p for x in xs], p)]
 
 
-def _lagrange_coeffs(xs, ys, p):
-    acc = [0] * len(xs)
-    for y, row in zip(ys, _lagrange_rows(xs, p)):
-        for i, v in enumerate(row):
-            acc[i] = (acc[i] + y * v) % p
-    return _trim(acc)
+def _combine(rows, ys, p):
+    # coefficients of sum y_i L_i, padded to len(rows)
+    acc = [0] * len(rows)
+    for y, row in zip(ys, rows):
+        if y:
+            for i, v in enumerate(row):
+                acc[i] += y * v
+    return [c % p for c in acc]
 
 
 def lagrange_interpolate(p: int, points) -> Poly:
@@ -254,7 +258,7 @@ def lagrange_interpolate(p: int, points) -> Poly:
     ys = [y % p for _, y in points]
     if not xs:
         raise DomainError("need at least one point")
-    return Poly(p, _lagrange_coeffs(xs, ys, p))
+    return Poly(p, _combine(_lagrange_rows(xs, p), ys, p))
 
 
 # ---------- square-free structure ----------
@@ -398,6 +402,9 @@ def perfect_power_decompose(rfn: RationalFn, ctx: PrimeFieldCtx | None = None) -
     part of k comes from the gcd of all multiplicities in the square-free
     decompositions of numerator and denominator; the leading coefficient must
     itself be a k-th power, and the smallest such root is used for phi.
+    As soon as that gcd is 1 (already from the numerator alone when its
+    multiplicities are coprime, e.g. when it is square-free) the input itself
+    is returned with k = 1, once both degrees are checked to stay below p.
     """
     if rfn.is_constant:
         raise DomainError("constant rational function")
@@ -415,11 +422,16 @@ def perfect_power_decompose(rfn: RationalFn, ctx: PrimeFieldCtx | None = None) -
         return k, dec
 
     lead = rfn.num.leading
-    kn, dec_n = layers(rfn.num.monic() if rfn.num.degree > 0 else rfn.num)
+    kn, dec_n = layers(rfn.num)
+    if kn == 1:
+        if rfn.den.degree >= p:
+            raise DomainError("degree must stay below the modulus")
+        return rfn, 1
     kd, dec_d = layers(rfn.den)
     k_struct = math.gcd(kn, kd)
-    divisors = sorted((k for k in range(1, k_struct + 1) if k_struct % k == 0), reverse=True)
-    for k in divisors:
+    for k in range(k_struct, 1, -1):
+        if k_struct % k:
+            continue
         scalar_roots = _general_roots(ctx, lead, k)
         if not scalar_roots:
             continue
@@ -432,7 +444,7 @@ def perfect_power_decompose(rfn: RationalFn, ctx: PrimeFieldCtx | None = None) -
         phi = RationalFn(num, den)
         if phi ** k == rfn:
             return phi, k
-    raise DomainError("decomposition failed")  # unreachable: k = 1 always verifies
+    return rfn, 1
 
 
 # ---------- bivariate polynomials ----------
@@ -594,25 +606,16 @@ def resultant_shifted(f: Poly, g: Poly, a: int) -> BiPoly:
 
     fc, gc, fac, gac = padded(f), padded(g), padded(fa), padded(ga)
     nodes = list(range(d + 1))
+    basis = _lagrange_rows(nodes, p)  # built once, used 2(d + 1) times
+    specs_v = [[(fac[k] - v * gac[k]) % p for k in range(d + 1)] for v in nodes]
     vals = []
     for u in nodes:
         spec_u = [(fc[k] - u * gc[k]) % p for k in range(d + 1)]
-        row = []
-        for v in nodes:
-            spec_v = [(fac[k] - v * gac[k]) % p for k in range(d + 1)]
-            row.append(sylvester_resultant(spec_u, spec_v, d, d, p))
-        vals.append(row)
+        vals.append([sylvester_resultant(spec_u, spec_v, d, d, p) for spec_v in specs_v])
     # interpolate along V for each grid row, then along U per V-coefficient
-    vpolys = []
-    for row in vals:
-        c = _lagrange_coeffs(nodes, row, p)
-        vpolys.append(c + [0] * (d + 1 - len(c)))
-    grid = [[0] * (d + 1) for _ in range(d + 1)]
-    for j in range(d + 1):
-        c = _lagrange_coeffs(nodes, [vp[j] for vp in vpolys], p)
-        for i, coeff in enumerate(c):
-            grid[i][j] = coeff
-    out = BiPoly(p, grid)
+    vpolys = [_combine(basis, row, p) for row in vals]
+    cols = [_combine(basis, col, p) for col in zip(*vpolys)]
+    out = BiPoly(p, list(zip(*cols)))
     if out.is_zero:
         raise DegenerateResultantError("resultant is identically zero")
     return out

@@ -661,6 +661,21 @@ class TestInterpolate:
         assert res.poly == spec.f
         assert factored and p - 1 not in factored
 
+    def test_primality_checked_once_per_recovery(self, monkeypatch):
+        # the context checks p; step 3's simulated oracles reuse the
+        # caller's checked p and e instead of testing p once per survivor
+        from powerprobe import oracle as oracle_mod
+        p = 1000003
+        oracle = make_oracle(gen_instance(p, 3, 2, seed=1, require_square_free=True))
+        calls = []
+        real = ff_core.is_prime
+        spy = lambda n: calls.append(n) or real(n)
+        monkeypatch.setattr(ff_core, "is_prime", spy)
+        monkeypatch.setattr(oracle_mod, "is_prime", spy)
+        res = interpolate(oracle, 2)
+        assert res.survivors >= 1
+        assert calls.count(p) == 1
+
     def test_exponential_walk_hits_budget(self, monkeypatch):
         # e = 2, d = 40 has 2^39 root paths; the walk must stop at the budget
         monkeypatch.setenv("POWERPROBE_BUDGET", str(10 ** 6))

@@ -387,6 +387,36 @@ class TestSweep:
                            r.envelope, r.ratio, r.status)
         assert [strip(r) for r in a] == [strip(r) for r in b]
 
+    def test_frozen_rows(self):
+        # every column but ms, as first recorded; a change to how cells use
+        # the seeded draws, or to any count, shows up here
+        grid = {"primes": [211], "e_divisor_policy": {"max": 6},
+                "d_range": [2, 2], "H_policy": {"fixed": 100}, "seed": 1,
+                "experiments": ["curve_points", "interpolating_count",
+                                "shifted_intersection", "value_set"]}
+        assert [r.csv_row().rsplit(",", 1)[0] for r in sweep(grid)] == [
+            "curve_points,211,1,2,,,0,4.32675,0,ok",
+            "curve_points,211,2,2,,,0,6.86829,0,ok",
+            "curve_points,211,3,2,,,0,9,0,ok",
+            "curve_points,211,5,2,,,1,12.6515,0.0790421,ok",
+            "curve_points,211,6,2,,,1,14.2866,0.0699956,ok",
+            "interpolating_count,211,1,2,,1,1,1,1,ok",
+            "interpolating_count,211,2,2,,1,4,2.82843,1.41421,ok",
+            "interpolating_count,211,3,2,,1,9,5.19615,1.73205,ok",
+            "interpolating_count,211,5,2,,1,26,11.1803,2.32551,ok",
+            "interpolating_count,211,6,2,,1,36,14.6969,2.44949,ok",
+            "shifted_intersection,211,1,2,,1,0,1,0,ok",
+            "shifted_intersection,211,2,2,,1,0,1.5874,0,ok",
+            "shifted_intersection,211,3,2,,1,0,2.08008,0,ok",
+            "shifted_intersection,211,5,2,,1,0,2.92402,0,ok",
+            "shifted_intersection,211,6,2,,1,0,3.30193,0,ok",
+            "value_set,211,1,2,100,,0,22.4492,0,ok",
+            "value_set,211,2,2,100,,1,28.2843,0.0353553,ok",
+            "value_set,211,3,2,100,,2,32.3774,0.0617715,ok",
+            "value_set,211,5,2,100,,1,38.3877,0.02605,ok",
+            "value_set,211,6,2,100,,1,40.793,0.024514,ok",
+        ]
+
     def test_seed_changes_draws(self):
         other = dict(self.GRID, seed=12)
         a = sweep(self.GRID)

@@ -273,6 +273,41 @@ class TestGenInstance:
         with pytest.raises(DomainError):
             gen_instance(13, 3, 13, seed=1)
 
+    # (f, g) coefficients, low to high, as first recorded: a change to how
+    # the draw loop uses the RNG or decides to redraw shows up here
+    FROZEN_NON_PP = {
+        1: ((17611, 8271, 33432, 15455, 64937, 58915, 61898, 49756, 27519,
+             12302, 63944, 3715, 51093, 56723, 276, 58377, 34908, 29984,
+             13399, 41606, 4009, 2925, 3335, 1206, 49965, 28390, 55327, 3806,
+             29057, 57394, 64987, 30550, 45311, 30260, 28676, 1),
+            (60241, 37982, 2816, 54549, 13107, 24367, 38848, 15845, 43607,
+             55326, 24883, 39763, 37245, 65452, 51557, 4525, 62944, 31816,
+             52990, 54304, 22676, 48119, 49113, 11333, 57535, 14146, 21456,
+             51544, 48565, 64185, 3876, 61514, 5699, 40439, 51589, 1)),
+        2: ((7412, 12004, 11124, 47324, 22162, 40388, 32975, 27815, 4683,
+             20759, 56448, 51581, 48766, 58307, 35158, 4708, 3597, 47712,
+             60934, 41741, 49809, 55523, 21559, 23256, 30949, 30225, 3127,
+             23163, 42617, 22752, 17917, 47145, 23834, 58410, 54351, 1),
+            (47743, 46371, 47433, 58427, 21126, 52410, 60477, 32755, 64227,
+             36582, 65282, 46389, 59596, 60425, 45976, 59841, 63780, 29073,
+             42554, 21767, 35145, 62883, 40575, 39753, 53303, 40874, 27239,
+             64081, 48050, 9879, 44755, 1103, 25087, 13914, 7701, 1)),
+        3: ((31190, 17094, 48490, 62135, 8588, 1725, 61503, 33994, 30714,
+             25132, 61638, 62436, 52053, 19741, 30398, 19873, 51109, 1985,
+             8392, 20892, 5608, 39487, 4064, 35314, 61964, 50804, 55959,
+             51768, 58277, 17583, 47909, 12773, 4703, 17821, 64865, 1),
+            (28440, 33814, 57168, 39456, 55200, 50576, 45994, 53421, 30459,
+             44140, 3756, 36658, 21377, 42780, 13641, 27672, 35007, 37349,
+             16309, 8317, 63176, 63374, 11602, 45099, 8730, 53800, 19761,
+             2637, 38520, 55986, 54420, 15586, 5792, 5890, 49519, 1)),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN_NON_PP))
+    def test_frozen_non_perfect_power_draws(self, seed):
+        spec = gen_instance(65537, 4, 35, seed, with_g=True,
+                            require_non_perfect_power_ratio=True)
+        assert (spec.f.coeffs, spec.g.coeffs) == self.FROZEN_NON_PP[seed]
+
     def test_bad_e(self):
         with pytest.raises(DomainError):
             gen_instance(13, 5, 2, seed=1)

@@ -89,6 +89,15 @@ class TestPolyBasics:
         assert f ** 3 == f * f * f
         assert (f ** 0) == Poly.one(13)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 5, 13, 101]), st.data())
+    def test_pow_is_repeated_multiplication(self, p, data):
+        f = Poly(p, data.draw(st.lists(st.integers(0, p - 1), max_size=5)))
+        acc = Poly.one(p)
+        for k in range(10):
+            assert f ** k == acc
+            acc = acc * f
+
     def test_derivative_product_rule(self):
         rng = random.Random(6)
         for _ in range(10):
@@ -141,6 +150,25 @@ class TestDivmodGcd:
     def test_gcd_zero_zero(self):
         with pytest.raises(DomainError):
             poly_gcd(Poly.zero(13), Poly.zero(13))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 13, 31, 101]), st.data())
+    def test_gcd_matches_poly_level_euclid(self, p, data):
+        # zero, constant and non-monic inputs all come up: coefficients are
+        # free, lists may be empty or of length one, and a shared factor
+        # makes nontrivial gcds common
+        coeffs = st.lists(st.integers(0, p - 1), max_size=5)
+        h = Poly(p, data.draw(coeffs))
+        f = Poly(p, data.draw(coeffs)) * (h if data.draw(st.booleans()) else 1)
+        g = Poly(p, data.draw(coeffs)) * (h if data.draw(st.booleans()) else 1)
+        if f.is_zero and g.is_zero:
+            with pytest.raises(DomainError):
+                poly_gcd(f, g)
+            return
+        a, b = f, g
+        while not b.is_zero:
+            a, b = b, a % b
+        assert poly_gcd(f, g) == a * pow(a.leading, -1, p)
 
 
 class TestLagrange:
@@ -289,6 +317,36 @@ class TestPerfectPower:
     def test_constant_rejected(self):
         with pytest.raises(DomainError):
             perfect_power_decompose(RationalFn(Poly(13, [5]), Poly.one(13)))
+
+    def test_frozen_early_return_examples(self):
+        x1 = Poly(13, [1, 1])
+        psi = RationalFn(Poly.x(13), x1 ** 2)  # square-free numerator
+        phi, k = perfect_power_decompose(psi)
+        assert (phi, k) == (psi, 1)
+        psi = RationalFn(Poly.one(13), x1 ** 2)  # constant numerator
+        phi, k = perfect_power_decompose(psi)
+        assert (phi, k) == (RationalFn(Poly.one(13), x1), 2)
+
+    def test_square_free_numerator_over_high_degree_denominator(self):
+        # the numerator alone settles k = 1, but the denominator must still
+        # meet the degree precondition of its square-free decomposition
+        den = Poly(5, [1, 0, 0, 0, 0, 1])  # (X + 1)^5 over F_5
+        with pytest.raises(DomainError, match="degree must stay below the modulus"):
+            perfect_power_decompose(RationalFn(Poly.x(5), den))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([5, 7, 13, 31]), st.integers(1, 4), st.data())
+    def test_decomposition_property(self, p, power, data):
+        def poly(max_degree, monic):
+            c = data.draw(st.lists(st.integers(0, p - 1), max_size=max_degree))
+            return Poly(p, c + [1 if monic else data.draw(st.integers(1, p - 1))])
+
+        psi = RationalFn(poly(3, False), poly(3, True)) ** power
+        assume(not psi.is_constant and psi.degree < p)
+        phi, k = perfect_power_decompose(psi)
+        assert phi ** k == psi
+        if k == 1:
+            assert phi is psi
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([q for q in range(3, 500) if is_prime(q)]),
