@@ -1,8 +1,10 @@
 """Brute-force counting lab: measured counts next to analytic envelopes.
 
-Counters are exact enumerations at desk scale.  Each has a second,
-independently coded enumeration strategy used for cross-validation.  Envelope
-constants are report columns, never thresholds.  Output is CSV only.
+Counters are exact at desk scale and charge their estimated work to the
+operation budget before they start.  Each has an independently coded `_alt`
+strategy for cross-validation; interpolating polynomials are counted by root
+labelings per degree, and by coefficient enumeration in the `_alt`.
+Envelope constants are report columns, never thresholds.  Output is CSV only.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 from .ff_core import (MAX_MODULUS, BudgetExceededError, DomainError, PrimeFieldCtx,
                       _charge, factorize)
 from .poly_algebra import (BiPoly, Poly, RationalFn, _eval, is_square_free,
-                           lagrange_basis, perfect_power_decompose, poly_gcd,
-                           resultant_shifted)
+                           perfect_power_decompose, poly_gcd, resultant_shifted)
 from .algorithms import choose_m, compute_window, shifted_condition_holds
 
 
@@ -199,63 +200,6 @@ def _coeff_cost(xs, e, d, p):
     return sum(p ** (deg - 1) for deg in range(1, d + 1)) * (e + 1) * len(xs)
 
 
-def _interp_strategies(xs, e, d, p):
-    # the coefficient and labeling strategies, the cheaper one first
-    if len(xs) >= d + 1 and e ** (d + 1) * (d + 1) * (d + 1) < _coeff_cost(xs, e, d, p):
-        return _interp_count_lambda, _interp_count_coeff
-    return _interp_count_coeff, _interp_count_lambda
-
-
-def _interp_count_coeff(xs, As, e, d, ctx):
-    # For fixed upper coefficients, c0 -> f(x_0) is a bijection of F_p, so
-    # f(x_0)^e = A_0 leaves one c0 per e-th root of A_0 to test on the rest.
-    p = ctx.p
-    _charge(_coeff_cost(xs, e, d, p))
-    count = int(all(a == 1 for a in As))  # f = 1
-    roots = ctx.extract_roots(As[0], e)
-    x0, rest = xs[0], list(zip(xs[1:], As[1:]))
-    for deg in range(1, d + 1):
-        for upper in itertools.product(range(p), repeat=deg - 1):
-            coeffs = (0,) + upper + (1,)
-            at_rest = [(_eval(coeffs, x, p), a) for x, a in rest]
-            u0 = _eval(coeffs, x0, p)
-            for r in roots:
-                c0 = r - u0
-                if all(pow(c0 + u, e, p) == a for u, a in at_rest):
-                    count += 1
-    return count
-
-
-def _interp_count_lambda(xs, As, e, d, ctx):
-    p = ctx.p
-    if len(xs) < d + 1:
-        raise DomainError("lambda strategy needs at least d + 1 nodes")
-    roots = []
-    for a in As:
-        r = ctx.extract_roots(a, e)
-        if not r:
-            return 0
-        roots.append(r)
-    _charge(e ** (d + 1) * (d + 1) * (d + 1) + e ** (d + 1) * len(xs))
-    # each labeling picks an e-th root v_i of A_i at the first d + 1 nodes;
-    # f = sum_i v_i L_i has its coefficients (high to low) and its values at
-    # the remaining nodes as dot products of v with those of the basis
-    basis = lagrange_basis(p, xs[: d + 1])
-    columns = [[L.coeffs[k] for L in basis] for k in range(d, -1, -1)]
-    rest = [([L(x) for L in basis], a) for x, a in zip(xs[d + 1:], As[d + 1:])]
-    count = 0
-    for vals in itertools.product(*roots[: d + 1]):
-        for col in columns:
-            lead = sum(map(operator.mul, vals, col)) % p
-            if lead:
-                break
-        if lead != 1:
-            continue
-        if all(pow(sum(map(operator.mul, vals, row)), e, p) == a for row, a in rest):
-            count += 1
-    return count
-
-
 def _interp_validate(xs, As, e, ctx):
     p = ctx.p
     xs = [x % p for x in xs]
@@ -274,17 +218,65 @@ def _interp_validate(xs, As, e, ctx):
 def count_interpolating_polynomials(xs, As, e: int, d: int, ctx: PrimeFieldCtx) -> int:
     """Monic f of degree at most d with f(x_i)^e = A_i for all i.
 
-    Enumerates either p^(deg-1) coefficient tuples or e^(d+1) root-of-unity
-    labelings of interpolation values, whichever is cheaper within budget.
+    Counts one degree k at a time over labelings, the choices of an e-th root
+    v_i of each A_i as f(x_i).  Write f = x^k + h with deg h < k.  With N <= k
+    nodes each labeling leaves p^(k - N) polynomials h, so degree k adds
+    prod |R_i| * p^(k - N) unenumerated; with N > k the roots at the first k
+    nodes fix h, which is tested on the other nodes.  Charged the sum of
+    e^k (k^2 + N) over 1 <= k <= d, k < N, before the first labeling.
     """
     xs, As = _interp_validate(xs, As, e, ctx)
-    return _interp_strategies(xs, e, d, ctx.p)[0](xs, As, e, d, ctx)
+    p, n = ctx.p, len(xs)
+    _charge(sum(e ** k * (k * k + n) for k in range(1, min(d, n - 1) + 1)))
+    roots = [ctx.extract_roots(a, e) for a in As[:d]]
+    count = int(all(a == 1 for a in As))  # f = 1
+    for k in range(1, d + 1):
+        if n <= k:
+            count += math.prod(map(len, roots[:n])) * p ** (k - n)
+            continue
+        # with L_i the Lagrange basis on the first k nodes, f is
+        # x^k + sum_i (v_i - x_i^k) L_i, so at each later node x it is
+        # base + v . row for row = (L_i(x))_i
+        nodes = xs[:k]
+        tests = []
+        for x, a in zip(xs[k:], As[k:]):
+            row = [math.prod((x - xl) * pow(xi - xl, -1, p) for xl in nodes if xl != xi) % p
+                   for xi in nodes]
+            base = pow(x, k, p) - sum(pow(xi, k, p) * r for xi, r in zip(nodes, row))
+            tests.append((base, row, a))
+        # the root at the last of the k nodes varies fastest
+        for vals in itertools.product(*roots[:k - 1]):
+            offsets = [(base + sum(map(operator.mul, vals, row)), row[-1], a)
+                       for base, row, a in tests]
+            for v in roots[k - 1]:
+                if all(pow(o + v * r, e, p) == a for o, r, a in offsets):
+                    count += 1
+    return count
 
 
 def count_interpolating_polynomials_alt(xs, As, e: int, d: int, ctx: PrimeFieldCtx) -> int:
-    """Second strategy: whichever enumeration the primary would not pick."""
+    """Second strategy: enumerate the upper coefficients of each degree.
+
+    For fixed upper coefficients, c0 -> f(x_0) is a bijection of F_p, so
+    f(x_0)^e = A_0 leaves one c0 per e-th root of A_0 to test on the other
+    nodes.  Charged (e + 1) N times the p^(deg - 1) tuples of each degree.
+    """
     xs, As = _interp_validate(xs, As, e, ctx)
-    return _interp_strategies(xs, e, d, ctx.p)[1](xs, As, e, d, ctx)
+    p = ctx.p
+    _charge(_coeff_cost(xs, e, d, p))
+    count = int(all(a == 1 for a in As))  # f = 1
+    roots = ctx.extract_roots(As[0], e)
+    x0, rest = xs[0], list(zip(xs[1:], As[1:]))
+    for deg in range(1, d + 1):
+        for upper in itertools.product(range(p), repeat=deg - 1):
+            coeffs = (0,) + upper + (1,)
+            at_rest = [(_eval(coeffs, x, p), a) for x, a in rest]
+            u0 = _eval(coeffs, x0, p)
+            for r in roots:
+                c0 = r - u0
+                if all(pow(c0 + u, e, p) == a for u, a in at_rest):
+                    count += 1
+    return count
 
 
 def envelope_interpolating_count(e: int, d: int, constant: float = 1.0,

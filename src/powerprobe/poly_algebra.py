@@ -283,9 +283,11 @@ def square_free_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     f = f.monic()
     if f.degree == 0:
         return []
-    out = []
     df = f.derivative()
     a = poly_gcd(f, df)
+    if a.degree == 0:
+        return [(f, 1)]
+    out = []
     b = f // a
     c = df // a
     d = c - b.derivative()
@@ -398,19 +400,25 @@ def _general_roots(ctx: PrimeFieldCtx, value: int, k: int) -> tuple[int, ...]:
 def perfect_power_decompose(rfn: RationalFn, ctx: PrimeFieldCtx | None = None) -> tuple[RationalFn, int]:
     """Write a nonconstant rational function as phi**k with k maximal.
 
-    k = 1 means the input is not a nontrivial perfect power.  The structural
-    part of k comes from the gcd of all multiplicities in the square-free
+    k = 1 means the input is not a nontrivial perfect power.  Both degrees
+    must stay below p.  k divides both degrees, so when they are coprime the
+    input itself is returned with k = 1.  Otherwise the structural part of k
+    comes from the gcd of all multiplicities in the square-free
     decompositions of numerator and denominator; the leading coefficient must
     itself be a k-th power, and the smallest such root is used for phi.
     As soon as that gcd is 1 (already from the numerator alone when its
     multiplicities are coprime, e.g. when it is square-free) the input itself
-    is returned with k = 1, once both degrees are checked to stay below p.
+    is returned with k = 1.
     """
     if rfn.is_constant:
         raise DomainError("constant rational function")
     p = rfn.p
     if ctx is None:
         ctx = PrimeFieldCtx(p)
+    if rfn.degree >= p:
+        raise DomainError("degree must stay below the modulus")
+    if math.gcd(rfn.num.degree, rfn.den.degree) == 1:
+        return rfn, 1
 
     def layers(poly):
         if poly.degree <= 0:
@@ -424,8 +432,6 @@ def perfect_power_decompose(rfn: RationalFn, ctx: PrimeFieldCtx | None = None) -
     lead = rfn.num.leading
     kn, dec_n = layers(rfn.num)
     if kn == 1:
-        if rfn.den.degree >= p:
-            raise DomainError("degree must stay below the modulus")
         return rfn, 1
     kd, dec_d = layers(rfn.den)
     k_struct = math.gcd(kn, kd)

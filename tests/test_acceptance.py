@@ -11,6 +11,8 @@ import time
 from powerprobe.algorithms import compute_window, identity_test, interpolate
 from powerprobe.bounds_lab import (count_curve_points_on_subgroups,
                                    count_curve_points_on_subgroups_alt,
+                                   count_interpolating_polynomials,
+                                   count_interpolating_polynomials_alt,
                                    count_shifted_subgroup_intersection,
                                    count_shifted_subgroup_intersection_alt,
                                    count_value_set_in_subgroup,
@@ -272,6 +274,16 @@ def test_criterion_08_counting_cross_validation():
             b = count_shifted_subgroup_intersection_alt(es[-1], shifts, scales, ctx)
             assert a == b
             cells += 1
+        # two interpolating cells at d = 2: three nodes, and two (N < d + 1)
+        f = Poly(p, [rng.randrange(1, p), rng.randrange(p), 1])
+        while any(f(x) == 0 for x in range(3)):
+            f = Poly(p, [rng.randrange(1, p), rng.randrange(p), 1])
+        for xs in ([0, 1, 2], [0, 1]):
+            As = [pow(f(x), es[-1], p) for x in xs]
+            a = count_interpolating_polynomials(xs, As, es[-1], 2, ctx)
+            b = count_interpolating_polynomials_alt(xs, As, es[-1], 2, ctx)
+            assert a == b >= 1
+            cells += 1
         # exact identities
         diag = BiPoly.from_terms(p, {(1, 0): 1, (0, 1): p - 1})
         for e in es:
@@ -281,7 +293,7 @@ def test_criterion_08_counting_cross_validation():
     dt = time.time() - t0
     print("criterion 08: PASS (%d grid cells, dual strategies agree, "
           "identities exact, %.1fs)" % (cells, dt))
-    assert cells == 50
+    assert cells == 60
 
 
 def test_criterion_09_resultant_correctness():

@@ -266,15 +266,14 @@ class TestInterpCountStrategies:
             As = data.draw(st.lists(st.integers(1, p - 1), min_size=len(xs), max_size=len(xs)))
         ctx = PrimeFieldCtx(p)
         want = brute_interp_count(xs, As, e, d, p)
-        assert bounds_lab._interp_count_coeff(xs, As, e, d, ctx) == want
-        if len(xs) >= d + 1:
-            assert bounds_lab._interp_count_lambda(xs, As, e, d, ctx) == want
+        assert count_interpolating_polynomials(xs, As, e, d, ctx) == want
+        assert count_interpolating_polynomials_alt(xs, As, e, d, ctx) == want
 
     def test_budget_refused(self, monkeypatch):
         monkeypatch.setenv("POWERPROBE_BUDGET", "1000")
         ctx = PrimeFieldCtx(101)
         with pytest.raises(BudgetExceededError):
-            bounds_lab._interp_count_coeff([1, 2], [1, 1], 4, 2, ctx)
+            count_interpolating_polynomials_alt([1, 2], [1, 1], 4, 2, ctx)
 
     def test_coefficient_cell_within_default_budget(self):
         # f(0)^2 = 49 and f(1)^2 = 81 with f monic of degree <= 3 over F_401:
@@ -283,10 +282,7 @@ class TestInterpCountStrategies:
         # c0, so it is priced at p^2 (e+1) nodes, not p^3 nodes.
         p, ctx = 401, PrimeFieldCtx(401)
         assert count_interpolating_polynomials([0, 1], [49, 81], 2, 3, ctx) == 4 * p + 4
-        # two nodes are too few for the labeling strategy, so the second
-        # counter agrees on four nodes, where it is the coefficient one
-        with pytest.raises(DomainError):
-            count_interpolating_polynomials_alt([0, 1], [49, 81], 2, 3, ctx)
+        assert count_interpolating_polynomials_alt([0, 1], [49, 81], 2, 3, ctx) == 4 * p + 4
         f = Poly(p, [7, 5, 100, 1])
         xs = [0, 1, 2, 3]
         As = [pow(f(x), 2, p) for x in xs]
@@ -294,9 +290,14 @@ class TestInterpCountStrategies:
                 == count_interpolating_polynomials_alt(xs, As, 2, 3, ctx) >= 1)
 
     def test_oversized_coefficient_cell_refused(self):
-        ctx = PrimeFieldCtx(65537)
-        with pytest.raises(BudgetExceededError):
-            count_interpolating_polynomials([0, 1], [1, 1], 2, 3, ctx)
+        # f(0), f(1) in {1, -1}: no line (x + c gives f(1) in {0, 2}), one
+        # quadratic and p cubics for each of the 4 labelings, and f = 1, so
+        # 4p + 5.  The labeling counter enumerates only the lines; the
+        # coefficient counter would walk 1 + p + p^2 tuples of (e+1) N each
+        p, ctx = 65537, PrimeFieldCtx(65537)
+        with pytest.raises(BudgetExceededError, match="estimated 25770983442 ops"):
+            count_interpolating_polynomials_alt([0, 1], [1, 1], 2, 3, ctx)
+        assert count_interpolating_polynomials([0, 1], [1, 1], 2, 3, ctx) == 4 * p + 5
 
 
 class TestBudget:
@@ -415,6 +416,26 @@ class TestSweep:
             "value_set,211,3,2,100,,2,32.3774,0.0617715,ok",
             "value_set,211,5,2,100,,1,38.3877,0.02605,ok",
             "value_set,211,6,2,100,,1,40.793,0.024514,ok",
+        ]
+        # d = 1: value_set ratios of coprime degrees, and the k = 1 labeling
+        grid = dict(grid, primes=[101], d_range=[1, 1])
+        assert [r.csv_row().rsplit(",", 1)[0] for r in sweep(grid)] == [
+            "curve_points,101,1,1,,,0,1,0,ok",
+            "curve_points,101,2,1,,,0,1.5874,0,ok",
+            "curve_points,101,4,1,,,0,2.51984,0,ok",
+            "curve_points,101,5,1,,,0,2.92402,0,ok",
+            "interpolating_count,101,1,1,,1,1,1,1,ok",
+            "interpolating_count,101,2,1,,1,1,1.41421,0.707107,ok",
+            "interpolating_count,101,4,1,,1,2,2,1,ok",
+            "interpolating_count,101,5,1,,1,1,2.23607,0.447214,ok",
+            "shifted_intersection,101,1,1,,1,0,1,0,ok",
+            "shifted_intersection,101,2,1,,1,0,1.5874,0,ok",
+            "shifted_intersection,101,4,1,,1,0,2.51984,0,ok",
+            "shifted_intersection,101,5,1,,1,0,2.92402,0,ok",
+            "value_set,101,1,1,100,,0,10,0,ok",
+            "value_set,101,2,1,100,,1,12.5992,0.0793701,ok",
+            "value_set,101,4,1,100,,3,15.874,0.188988,ok",
+            "value_set,101,5,1,100,,4,17.0998,0.233921,ok",
         ]
 
     def test_seed_changes_draws(self):

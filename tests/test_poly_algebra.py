@@ -1,6 +1,7 @@
 """Polynomial algebra, rational functions, resultants, torsion divisors."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -341,6 +342,16 @@ class TestPerfectPower:
             c = data.draw(st.lists(st.integers(0, p - 1), max_size=max_degree))
             return Poly(p, c + [1 if monic else data.draw(st.integers(1, p - 1))])
 
+        # k divides both degrees, so coprime degrees give the input back
+        # with k = 1, unless a degree reaches p
+        rho = RationalFn(poly(8, False), poly(8, True))
+        if not rho.is_constant and math.gcd(rho.num.degree, rho.den.degree) == 1:
+            if rho.degree >= p:
+                with pytest.raises(DomainError, match="degree must stay below the modulus"):
+                    perfect_power_decompose(rho)
+            else:
+                phi, k = perfect_power_decompose(rho)
+                assert phi is rho and k == 1
         psi = RationalFn(poly(3, False), poly(3, True)) ** power
         assume(not psi.is_constant and psi.degree < p)
         phi, k = perfect_power_decompose(psi)
