@@ -8,11 +8,12 @@ roots, then filter candidates down to one via extra points, a square-free
 check and identity tests.  Each pair keeps every e-th root of its answer
 ratio, so its root set always holds the true ratio f(x)/f(x+h).
 
-Step 2 walks root choices pair by pair in about e^(d-1) nodes, each charged
+Step 2 walks root choices pair by pair in about e^(d-1) nodes, charged
 against the operation budget (BudgetExceededError).  A chain of pairs at
 x_0, x_0 + h, ... is solved in value space, with finite differences and one
-set intersection per leaf; any other group takes the basis walk, with pencil
-rows w - y*u and a line solve at rank d-1.
+set intersection per leaf, and charged its whole node count before the first;
+any other group takes the basis walk, with pencil rows w - y*u and a line
+solve at rank d-1, which prunes and so charges as it goes.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, prod
 from operator import mul
 
 from .ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, _budget, _charge, iroot
-from .oracle import CachingOracle, LocalPowerOracle, PowerOracle
+from .oracle import CachingOracle, PowerOracle
 from .poly_algebra import (Poly, is_square_free, lagrange_basis, lagrange_interpolate,
                            poly_power_root)
 
@@ -194,10 +195,10 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
     Zero answers are roots of the hidden polynomial; they are divided out and
     the pair search runs at the reduced degree over the same window.  Blocks
     [i n, (i+1) n] for i = 0..(2d-1)n are scanned, for the shifts h = 1..n in
-    turn, for the first pair (x, x+h) whose adjusted answer ratio has an e-th
-    root y with y^((p-1)/n) = 1.  That pair keeps every e-th root of its ratio,
-    so it always holds the true ratio.  The first shift with 2*d_rem such
-    blocks gives the one group.
+    turn, for the first pair (x, x+h) whose adjusted answer ratio A has an
+    e-th root y with y^((p-1)/n) = 1, that is A^((p-1)/gcd(n e, p-1)) = 1.
+    That pair keeps every e-th root of its ratio, so it always holds the true
+    ratio.  The first shift with 2*d_rem such blocks gives the one group.
     """
     p, e = oracle.p, oracle.e
     if d < 1:
@@ -214,29 +215,20 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
         raise DishonestOracleError("more zero answers than the degree allows")
     d_rem = d - len(zeros)
     known = Poly.from_roots(p, zeros)
-    zero_set = set(zeros)
-    adjusted = {}
-    for x, a in answers.items():
-        if x in zero_set:
-            continue
-        prod = 1
-        for z in zeros:
-            prod = prod * (x - z) % p
-        adjusted[x] = a * pow(prod, -e, p) % p
+    adjusted = {x: a * pow(known(x), -e, p) % p for x, a in answers.items() if a}
     if d_rem == 0:
         return Step1Result(n, top, zeros, 0, known, adjusted, ())
 
-    need = 2 * d_rem
+    need, index = 2 * d_rem, (p - 1) // gcd(n * e, p - 1)
     for h in range(1, n + 1):
         pairs: list[Pair] = []
         for i in range((2 * d - 1) * n + 1):
             for x in range(i * n, (i + 1) * n - h + 1):
-                if x in zero_set or (x + h) in zero_set:
+                if x not in adjusted or x + h not in adjusted:
                     continue
                 ratio = adjusted[x] * pow(adjusted[x + h], -1, p) % p
-                roots = ctx.extract_roots(ratio, e)
-                if any(pow(y, (p - 1) // n, p) == 1 for y in roots):
-                    pairs.append(Pair(x, roots))
+                if pow(ratio, index, p) == 1:
+                    pairs.append(Pair(x, ctx.extract_roots(ratio, e)))
                     break
             if len(pairs) == need:
                 return Step1Result(n, top, zeros, d_rem, known, adjusted,
@@ -357,24 +349,23 @@ def _chain_solve(group, d, p, rank_log, limit):
     pair d holds when that lies in 1/R_d: one set intersection finds the
     y_{d-1} that hold (all or none when alpha = 0).  Survivors are checked on
     the rest of the chain and read off F_0..F_d through the Lagrange basis.
-    Each node charges what a pencil node at its depth does.
+    Each node charges what a pencil node at its depth does, all before the first.
     """
+    sizes = [len(pr.roots) for pr in group.pairs]
+    nodes = [prod(sizes[k:d - 1]) for k in range(d)]  # at depth k: every node expands every root
+    if sum(w * (d + 1) * (3 * (d - 1 - k) + sizes[d - 1 - k]) for k, w in enumerate(nodes)) > limit:
+        raise BudgetExceededError("budget: step 2 walk passed %d ops" % limit)
+    rank_log.events += sum(nodes)
     roots = [frozenset(pr.roots) for pr in group.pairs]
     mu = [(-1) ** (d - j) * comb(d + 1, j) % p for j in range(d + 1)]
     cols = list(zip(*(b.coeffs for b in lagrange_basis(p, [pr.x for pr in group.pairs[:d + 1]]))))
     last, md = roots[d - 1], mu[d]
     inv_next = {pow(y, -1, p) for y in roots[d]}
-    cost = [(d + 1) * (3 * (d - 1 - k) + len(roots[d - 1 - k])) for k in range(d)]
     F = [0] * d
     found = set()
-    spent = 0
     stack = [(d - 1, 1, mu[d - 1])]  # k, F_k, sum of mu_j F_j over k <= j < d
     while stack:
         k, fk, part = stack.pop()
-        spent += cost[k]
-        if spent > limit:
-            raise BudgetExceededError("budget: step 2 walk passed %d ops" % limit)
-        rank_log.events += 1
         F[k] = fk
         if k:
             m = mu[k - 1]
@@ -464,9 +455,9 @@ def step2_candidates(group: PairGroup, d: int, p: int,
     vanish at 2d points.  Then g/f would be h-periodic, hence constant
     (d < p), hence g = 0.  A group of fewer pairs may leave some f unfixed.
 
-    Each node charges about (d+1)(3 depth + e) field operations against the
-    operation budget (`POWERPROBE_BUDGET`, default DEFAULT_BUDGET), and the
-    walk raises BudgetExceededError once the charge passes it.
+    A node costs about (d+1)(3 depth + e) field operations against the
+    operation budget (`POWERPROBE_BUDGET`, default DEFAULT_BUDGET); past it
+    the walk raises BudgetExceededError, a chain before its first node.
     """
     if rank_log is None:
         rank_log = RankLog()
@@ -504,8 +495,8 @@ class Step3Stats:
 def step3_filter(candidates: list[Poly], oracle: PowerOracle, d: int,
                  window: WindowParams, m_cap: int = 64) -> tuple[Poly, Step3Stats]:
     """Keep candidates matching the oracle on d(m-1)+2 points, drop the ones
-    that are not square-free, then identity-test the rest; exactly one must
-    survive."""
+    that are not square-free, then test the rest against the oracle as
+    `identity_test` would, under one charge; exactly one must survive."""
     p, e = oracle.p, oracle.e
     m = choose_m(p, e, m_cap)
     top = d * (m - 1) + 1
@@ -517,11 +508,13 @@ def step3_filter(candidates: list[Poly], oracle: PowerOracle, d: int,
     stage2 = [g for g in stage1 if is_square_free(g)]
     stats = Step3Stats(m=m, filter_top=top, candidates_in=len(candidates),
                        after_value_filter=len(stage1), survivors=stage2)
-    for g in stage2:
-        sim = LocalPowerOracle.on_field_of(oracle, g)
-        verdict = identity_test(oracle, sim, window)
-        if not verdict.different:
-            stats.winners.append(g)
+    if stage2:
+        if window.H >= p:
+            raise DomainError("window exceeds the field")
+        end = _scan_end(window, e)
+        _charge(2 * end * (window.d + 1))
+        stats.winners = [g for g in stage2 if all(pow(g(x), e, p) == oracle.query(x)
+                                                  for x in range(1, end + 1))]
     if len(stats.winners) == 1:
         return stats.winners[0], stats
     if not stats.winners:
@@ -568,6 +561,8 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
     memo = oracle if isinstance(oracle, CachingOracle) else CachingOracle(oracle)
 
     if e == 1:
+        if n < 1 or (p - 1) % n != 0:  # as step 1 checks it for e >= 2
+            raise DomainError("n must divide p - 1")
         poly = naive_power_interpolate(memo, d)
         ms = (time.perf_counter() - t0) * 1000.0
         return InterpolationResult(poly, p, e, d, n, memo.query_count, None, None,

@@ -229,7 +229,7 @@ def count_interpolating_polynomials(xs, As, e: int, d: int, ctx: PrimeFieldCtx) 
     p, n = ctx.p, len(xs)
     _charge(sum(e ** k * (k * k + n) for k in range(1, min(d, n - 1) + 1)))
     roots = [ctx.extract_roots(a, e) for a in As[:d]]
-    count = int(all(a == 1 for a in As))  # f = 1
+    count = int(d >= 0 and all(a == 1 for a in As))  # f = 1
     for k in range(1, d + 1):
         if n <= k:
             count += math.prod(map(len, roots[:n])) * p ** (k - n)
@@ -264,7 +264,7 @@ def count_interpolating_polynomials_alt(xs, As, e: int, d: int, ctx: PrimeFieldC
     xs, As = _interp_validate(xs, As, e, ctx)
     p = ctx.p
     _charge(_coeff_cost(xs, e, d, p))
-    count = int(all(a == 1 for a in As))  # f = 1
+    count = int(d >= 0 and all(a == 1 for a in As))  # f = 1
     roots = ctx.extract_roots(As[0], e)
     x0, rest = xs[0], list(zip(xs[1:], As[1:]))
     for deg in range(1, d + 1):
@@ -403,11 +403,9 @@ def _cell_H(p: int, e: int, d: int, policy) -> int:
     raise DomainError("bad H_policy")
 
 
-def _draw_poly(rng, p, d, monic=True, square_free=False, avoid_roots=()):
+def _draw_poly(rng, p, d, square_free=False, avoid_roots=()):
     for _ in range(200):
-        f = Poly(p, [rng.randrange(p) for _ in range(d)] + ([1] if monic else []))
-        if f.degree != d:
-            continue
+        f = Poly(p, [rng.randrange(p) for _ in range(d)] + [1])
         if square_free and not is_square_free(f):
             continue
         if avoid_roots and any(f(x) == 0 for x in avoid_roots):

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import islice
+from operator import indexOf
 
 MAX_MODULUS = 1 << 62
 DEFAULT_BUDGET = 10 ** 8
@@ -198,8 +200,9 @@ class PrimeFieldCtx:
         mu = [1]
         for _ in range(e - 1):
             mu.append(mu[-1] * zeta % p)
-        # the log of r modulo each q^k || m1, digit by digit: (m1/q^k, digits,
-        # baby steps, giant step, steps, CRT coefficient) for each q
+        # the log of r modulo each q^k || m1, digit by digit: (q, m1/q^k,
+        # digits, CRT coefficient) for each q; a digit lies in
+        # <h^(m/q)> = <zeta^(e/q)>, so mu_e holds its log
         parts = []
         for q in qs:
             qk = 1
@@ -207,14 +210,11 @@ class PrimeFieldCtx:
                 qk *= q
             if qk == 1:
                 continue
-            hq = pow(he, m1 // qk, p)
-            gam, steps = pow(hq, qk // q, p), math.isqrt(q - 1) + 1
-            digits, hinv, qi = [], pow(hq, -1, p), 1  # (exponent into <gam>, hq^-qi, qi)
+            digits, hinv, qi = [], pow(he, -(m1 // qk), p), 1  # (exponent, hq^-qi, qi)
             while qi < qk:
                 digits.append((qk // (qi * q), hinv, qi))
                 hinv, qi = pow(hinv, q, p), qi * q
-            parts.append((m1 // qk, digits, {pow(gam, j, p): j for j in range(steps)},
-                          pow(gam, -steps, p), steps, m1 // qk * pow(m1 // qk, -1, qk)))
+            parts.append((q, m1 // qk, digits, m1 // qk * pow(m1 // qk, -1, qk)))
         plan = self._plans[e] = (pow(e, -1, s), h, parts, mu)
         return plan
 
@@ -226,13 +226,14 @@ class PrimeFieldCtx:
         p - 1 = m*s, where m holds exactly the primes of e, so e is invertible
         mod s.  y0 = value^(e^-1 mod s) is a root up to r = value / y0^e,
         which lies in <h^e>, h of order m; its log c to base h^e
-        (Pohlig-Hellman over the primes of e, baby-step giant-step for each
-        digit) gives y = y0 * h^c.  The roots are y*zeta^t for t < e, zeta of
-        order e; the index filter keeps those with y^((p-1)/index_multiple)
-        = 1.  Everything but y depends on (p, e) only and is built once, on
-        the first call for e that has roots to walk.  value = 0 is a domain
-        error because ind 0 is undefined.  Result sorted ascending.  Walking
-        the e roots is charged e operations against the operation budget.
+        (Pohlig-Hellman over the primes of e, each base-q digit's log read
+        off its position in every (e/q)-th entry of mu_e) gives y = y0 * h^c.
+        The roots are y*zeta^t for t < e, zeta of order e; the index filter
+        keeps those with y^((p-1)/index_multiple) = 1.  Everything but y
+        depends on (p, e) only and is built once, on the first call for e
+        that has roots to walk.  value = 0 is a domain error because ind 0 is
+        undefined.  Result sorted ascending.  Walking the e roots is charged
+        e operations against the operation budget.
         """
         p = self.p
         if e < 1 or (p - 1) % e != 0:
@@ -250,18 +251,13 @@ class PrimeFieldCtx:
         y = pow(value, einv, p)
         r = value * pow(y, -e, p) % p
         c = 0
-        for proj, digits, baby, giant, steps, crt in parts:
+        for q, proj, digits, crt in parts:
             x, cq = pow(r, proj, p), 0
             for exp, hinv, qi in digits:
-                t = pow(x, exp, p)
-                for i in range(steps):
-                    j = baby.get(t)
-                    if j is not None:
-                        break
-                    t = t * giant % p
-                if i or j:
-                    x = x * pow(hinv, i * steps + j, p) % p
-                    cq += (i * steps + j) * qi
+                j = indexOf(islice(mu, 0, None, e // q), pow(x, exp, p))
+                if j:
+                    x = x * pow(hinv, j, p) % p
+                    cq += j * qi
             c += cq * crt
         y = y * pow(h, c, p) % p
         roots = [y * z % p for z in mu]

@@ -105,15 +105,6 @@ class LocalPowerOracle(PowerOracle):
             raise DomainError("hidden polynomial must be nonzero over F_p")
         self._f = f
 
-    @classmethod
-    def on_field_of(cls, oracle: PowerOracle, f: Poly) -> "LocalPowerOracle":
-        """A local oracle for f, a nonzero polynomial over F_p, with the p
-        and e of `oracle`, whose constructor has checked them; like
-        CachingOracle, it does not run the primality test again."""
-        sim = cls.__new__(cls)
-        sim.p, sim.e, sim._log, sim._f = oracle.p, oracle.e, [], f
-        return sim
-
     def _answer(self, x: int) -> int:
         return pow(self._f(x), self.e, self.p)
 

@@ -1,6 +1,7 @@
 """Identity testing, the three interpolation steps, and the full pipeline."""
 
 import itertools
+import math
 import os
 import random
 from fractions import Fraction
@@ -283,6 +284,29 @@ class TestStep1:
                     found = True
         assert found
 
+    def test_pairs_are_the_first_with_a_root_of_index_divisible_by_n(self):
+        # reference: the first shift whose blocks each hold a pair with an
+        # e-th root of index divisible by n, found by extract_roots' filter
+        for (p, e, d, n), seed in itertools.product(
+                [(31, 3, 2, 2), (31, 3, 2, 3), (1009, 3, 2, 9), (1009, 4, 2, 3)], range(4)):
+            s1 = step1_collect(CachingOracle(make_oracle(gen_instance(p, e, d, seed))), d, n=n)
+            if not s1.d_rem:  # f splits in the window: no pairs
+                continue
+            ctx, adj, want = PrimeFieldCtx(p), s1.adjusted, None
+            for h in range(1, n + 1):
+                xs = []
+                for i in range((2 * d - 1) * n + 1):
+                    xs += [x for x in range(i * n, (i + 1) * n - h + 1)
+                           if x in adj and x + h in adj
+                           and ctx.extract_roots(adj[x] * pow(adj[x + h], -1, p), e, n)][:1]
+                    if len(xs) == 2 * s1.d_rem:
+                        break
+                if len(xs) == 2 * s1.d_rem:
+                    want = (h, xs)
+                    break
+            group, = s1.groups
+            assert (group.h, [pr.x for pr in group.pairs]) == want
+
     def test_non_clean_pairs_hold_true_ratio(self):
         # n = 3 does not divide (p-1)/e = 10, so roots of one ratio differ in
         # index mod n; each pair must still keep the true ratio
@@ -478,6 +502,18 @@ class TestStep2:
         got = _chain_solve(group, s1.d_rem, p, chain, 10 ** 12)
         assert got == _pencil_walk(group, s1.d_rem, p, walk, 10 ** 12)
         assert chain.events == walk.events
+        # the walk's exact charge: depth k has one node per root choice of
+        # pairs k..d-2, each charged (d+1)(3(d-1-k) + |R_(d-1-k)|)
+        d_rem, sizes = s1.d_rem, [len(pr.roots) for pr in group.pairs]
+        cost = sum(math.prod(sizes[k:d_rem - 1]) * (d_rem + 1)
+                   * (3 * (d_rem - 1 - k) + sizes[d_rem - 1 - k]) for k in range(d_rem))
+        for solve in (_chain_solve, _pencil_walk):
+            refused = RankLog()
+            with pytest.raises(BudgetExceededError, match="walk passed %d ops" % (cost - 1)):
+                solve(group, d_rem, p, refused, cost - 1)
+            assert solve(group, d_rem, p, RankLog(), cost) == got
+            if solve is _chain_solve:
+                assert refused.events == 0
         if p <= 31:
             assert got == {f.coeffs for f in brute_group_consistent(group, s1.d_rem, p)}
 
@@ -662,8 +698,8 @@ class TestInterpolate:
         assert factored and p - 1 not in factored
 
     def test_primality_checked_once_per_recovery(self, monkeypatch):
-        # the context checks p; step 3's simulated oracles reuse the
-        # caller's checked p and e instead of testing p once per survivor
+        # the context checks p; step 3 compares each survivor's powers with
+        # the caller's oracle directly, so no survivor tests p again
         from powerprobe import oracle as oracle_mod
         p = 1000003
         oracle = make_oracle(gen_instance(p, 3, 2, seed=1, require_square_free=True))
@@ -741,6 +777,18 @@ class TestInterpolate:
                 res = interpolate(oracle, d, n=n)
                 assert res.poly == spec.f
                 assert res.query_count <= res.query_budget
+
+    def test_e1_checks_n_before_any_query(self):
+        # the naive route refuses an n that does not divide p - 1, as step 1
+        # does for e >= 2
+        spec = gen_instance(101, 1, 2, seed=3)
+        for n in (7, 0, -1):
+            oracle = CachingOracle(make_oracle(spec))
+            with pytest.raises(DomainError, match="n must divide p - 1"):
+                interpolate(oracle, 2, n=n)
+            assert oracle.query_count == 0
+        res = interpolate(CachingOracle(make_oracle(spec)), 2, n=5)
+        assert res.poly == spec.f and res.n == 5
 
     def test_dishonest_oracle_detected(self):
         answers = {x: 0 for x in range(30)}

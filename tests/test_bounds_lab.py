@@ -249,14 +249,15 @@ def brute_interp_count(xs, As, e, d, p):
 
 class TestInterpCountStrategies:
     @settings(max_examples=80, deadline=None)
-    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(0, 3), st.data())
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(-1, 3), st.data())
     def test_equals_brute_force(self, p, d, data):
         e = data.draw(st.sampled_from([k for k in range(1, p) if (p - 1) % k == 0]))
         xs = data.draw(st.lists(st.integers(0, p - 1), min_size=1,
                                 max_size=min(p, d + 3), unique=True))
         kind = data.draw(st.sampled_from(["hidden", "ones", "random"]))
         if kind == "hidden":
-            f = Poly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1])
+            k = max(d, 0)
+            f = Poly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k)) + [1])
             As = [pow(f(x), e, p) for x in xs]
             if 0 in As:
                 As = [1] * len(xs)
@@ -268,6 +269,14 @@ class TestInterpCountStrategies:
         want = brute_interp_count(xs, As, e, d, p)
         assert count_interpolating_polynomials(xs, As, e, d, ctx) == want
         assert count_interpolating_polynomials_alt(xs, As, e, d, ctx) == want
+
+    @pytest.mark.parametrize("d, want", [(-1, 0), (0, 1)])
+    def test_all_ones_below_degree_one(self, d, want):
+        # f = 1 has degree 0: it counts at d = 0, and nothing counts at d < 0
+        xs, As, ctx = [0, 1], [1, 1], PrimeFieldCtx(13)
+        assert brute_interp_count(xs, As, 2, d, 13) == want
+        assert count_interpolating_polynomials(xs, As, 2, d, ctx) == want
+        assert count_interpolating_polynomials_alt(xs, As, 2, d, ctx) == want
 
     def test_budget_refused(self, monkeypatch):
         monkeypatch.setenv("POWERPROBE_BUDGET", "1000")

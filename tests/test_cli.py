@@ -127,6 +127,13 @@ class TestInterpolate:
         assert out.count("\n") == 1 and "error" in payload(out)
         assert "Traceback" not in err
 
+    def test_e1_bad_n_exit_2(self, capsys):
+        code, out, err = run(capsys, "interpolate", "--p", "101", "--e", "1", "--d", "2",
+                             "--seed", "3", "--n", "7")
+        assert code == 2
+        assert payload(out) == {"error": "n must divide p - 1"}
+        assert "Traceback" not in err
+
     def test_exponential_walk_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("POWERPROBE_BUDGET", str(10 ** 6))
         code, out, err = run(capsys, "interpolate", "--p", "65537", "--e", "2",
@@ -506,3 +513,27 @@ class TestArgvFuzz:
             assert len(out.getvalue().splitlines()) == 1, (argv, out.getvalue())
         assert isinstance(json.loads(out.getvalue()), dict), argv
         assert "Traceback" not in err.getvalue(), argv
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv", [
+        ("identity", "--p", "101", "--e", "5", "--d", "2", "--seed", "7"),
+        ("interpolate", "--p", "101", "--e", "5", "--d", "2", "--seed", "3"),
+        ("roots", "--p", "13", "--e", "3", "8"),
+        ("window", "--p", "101", "--e", "5", "--d", "2")])
+    def test_payload_matches_readme(self, capsys, argv):
+        # the command is listed under the README's heading for it, and its
+        # payload, but for wall_time_ms, is the first JSON block there
+        with open(README) as fh:
+            section = fh.read().split("\n### %s\n" % argv[0], 1)[1].split("\n#", 1)[0]
+        assert " ".join(("powerprobe",) + argv) + "\n" in section
+        want = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        _, out, _ = run(capsys, *argv)
+        got = payload(out)
+        for data in (want, got):
+            data.pop("wall_time_ms", None)
+        assert got == want

@@ -306,6 +306,29 @@ class TestRootProperties:
             value = data.draw(st.integers(1, p - 1))
             assert ctx.extract_roots(value, e, n) == brute_roots(p, value, e, n)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([q for q in _SMALL_PRIMES if q <= 211]), st.data())
+    def test_index_filter_is_one_power(self, p, data):
+        # A has an e-th root y with y^((p-1)/n) = 1 exactly when
+        # A^((p-1)/gcd(n e, p-1)) = 1, the test step 1 runs on each pair
+        divs = _divisors(p - 1)
+        e, n = data.draw(st.sampled_from(divs)), data.draw(st.sampled_from(divs))
+        value = data.draw(st.integers(1, p - 1))
+        one_power = pow(value, (p - 1) // math.gcd(n * e, p - 1), p) == 1
+        assert one_power == bool(PrimeFieldCtx(p).extract_roots(value, e, n))
+
+    @pytest.mark.parametrize("p, e", [(65537, 2), (65537, 4), (65537, 8),
+                                      (40002400037, 100003)])
+    def test_long_digit_loops(self, p, e):
+        # 2^16 = p - 1 leaves 16 - log2(e) base-2 digits to read; at
+        # p = 4 * 100003^2 + 1 the one digit is a position among 100003
+        # roots of unity
+        root = 3
+        value = pow(root, e, p)
+        roots = PrimeFieldCtx(p).extract_roots(value, e)
+        assert len(roots) == e and root in roots
+        assert all(pow(y, e, p) == value for y in roots)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(40, 61), st.integers(0, 1 << 62), st.integers(1, 1 << 62),
            st.booleans(), st.data())
