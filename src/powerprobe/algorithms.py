@@ -4,9 +4,13 @@ The interpolation pipeline follows three steps: collect answers on a short
 window and pick shifted query pairs whose answer ratios admit an e-th root with
 the right index congruence, enumerate the candidate polynomials consistent with
 every pair by solving small full-rank linear systems assembled from their
-roots, then filter candidates down to one via extra points, a square-free
-check and identity tests.  Each pair keeps every e-th root of its answer
-ratio, so its root set always holds the true ratio f(x)/f(x+h).
+roots, then filter candidates down to one via extra points and a square-free
+check.  Each pair keeps every e-th root of its answer ratio, so its root set
+always holds the true ratio f(x)/f(x+h), and step 2 returns every f the pairs
+admit.  With an honest oracle a candidate that alone matches the extra points
+is therefore the hidden f, and only two or more such candidates are told apart
+by an identity scan.  `interpolate` checks the winner against every answer it
+received, so a dishonest oracle gets a typed error or a consistent f.
 
 Step 2 walks root choices pair by pair in about e^(d-1) nodes, charged
 against the operation budget (BudgetExceededError).  A chain of pairs at
@@ -490,13 +494,21 @@ class Step3Stats:
     after_value_filter: int
     survivors: list[Poly] = field(default_factory=list)
     winners: list[Poly] = field(default_factory=list)
+    scan_end: int = 0  # last point of the identity scan; 0 when none ran
 
 
 def step3_filter(candidates: list[Poly], oracle: PowerOracle, d: int,
                  window: WindowParams, m_cap: int = 64) -> tuple[Poly, Step3Stats]:
-    """Keep candidates matching the oracle on d(m-1)+2 points, drop the ones
-    that are not square-free, then test the rest against the oracle as
-    `identity_test` would, under one charge; exactly one must survive."""
+    """Keep candidates matching the oracle on x = 0..d(m-1)+1 and drop the
+    ones that are not square-free; exactly one must be left.
+
+    Precondition: `candidates` holds every monic degree-d f that step 2
+    admits (`interpolate` passes them all).  An honest oracle's f is then
+    among them and passes the value filter, so when it is the only candidate
+    to pass, it is f and no further point is queried.  When two or more
+    pass, the square-free ones are compared with the oracle on
+    x = 1..min(H, d*e + 1) as `identity_test` would, under one charge.
+    """
     p, e = oracle.p, oracle.e
     m = choose_m(p, e, m_cap)
     top = d * (m - 1) + 1
@@ -507,11 +519,12 @@ def step3_filter(candidates: list[Poly], oracle: PowerOracle, d: int,
               if all(pow(g(x), e, p) == answers[x] for x in answers)]
     stage2 = [g for g in stage1 if is_square_free(g)]
     stats = Step3Stats(m=m, filter_top=top, candidates_in=len(candidates),
-                       after_value_filter=len(stage1), survivors=stage2)
-    if stage2:
+                       after_value_filter=len(stage1), survivors=stage2,
+                       winners=stage2)
+    if len(stage1) > 1 and stage2:
         if window.H >= p:
             raise DomainError("window exceeds the field")
-        end = _scan_end(window, e)
+        stats.scan_end = end = _scan_end(window, e)
         _charge(2 * end * (window.d + 1))
         stats.winners = [g for g in stage2 if all(pow(g(x), e, p) == oracle.query(x)
                                                   for x in range(1, end + 1))]
@@ -551,8 +564,13 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
     """Recover the hidden monic degree-d polynomial behind a power oracle.
 
     Queries are deduplicated internally, so the reported query count is the
-    number of distinct points sent to the underlying oracle.  e = 1 takes the
-    naive route; a NoValidMError comes before the first query.
+    number of distinct points sent to the underlying oracle: step 1's
+    x = 0..(2d-1)n^2+n and step 3's x = 0..d(m-1)+1, so max(2d, d(m-1)+1) + 1
+    points for n = 1, plus x = 1..min(H, d*e + 1) only when two or more
+    candidates match step 3's points.  The winner is checked against every
+    answer received, so any oracle gets a typed error or a monic f whose e-th
+    powers match all of them.  e = 1 takes the naive route; a NoValidMError
+    comes before the first query.
     """
     t0 = time.perf_counter()
     p, e = oracle.p, oracle.e
@@ -578,12 +596,11 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
         candidates = sorted((c * s1.known_factor for c in cs.polys),
                             key=lambda q: q.coeffs)
     winner, s3 = step3_filter(candidates, memo, d, window, m_cap)
-    # step 3 matched the winner up to max(filter_top, _scan_end), step 1 asked up to range_top
-    end = _scan_end(window, e)
+    # step 3 matched the winner up to max(filter_top, scan_end), step 1 asked up to range_top
     if any(pow(winner(x), e, p) != memo.query(x)
-           for x in range(max(s3.filter_top, end) + 1, s1.range_top + 1)):
+           for x in range(max(s3.filter_top, s3.scan_end) + 1, s1.range_top + 1)):
         raise InconsistentOracleError("inconsistent oracle: no candidate survives filtering")
-    budget = s1.range_top + s3.filter_top + 1 + len(s3.survivors) * end
+    budget = s1.range_top + s3.filter_top + 1 + len(s3.survivors) * s3.scan_end
     ms = (time.perf_counter() - t0) * 1000.0
     return InterpolationResult(winner, p, e, d, n, memo.query_count, window,
                                s3.m, s1.zeros, candidates, len(candidates),

@@ -228,7 +228,7 @@ def count_interpolating_polynomials(xs, As, e: int, d: int, ctx: PrimeFieldCtx) 
     xs, As = _interp_validate(xs, As, e, ctx)
     p, n = ctx.p, len(xs)
     _charge(sum(e ** k * (k * k + n) for k in range(1, min(d, n - 1) + 1)))
-    roots = [ctx.extract_roots(a, e) for a in As[:d]]
+    roots = [ctx.extract_roots(a, e) for a in As[:max(d, 0)]]
     count = int(d >= 0 and all(a == 1 for a in As))  # f = 1
     for k in range(1, d + 1):
         if n <= k:
@@ -265,6 +265,8 @@ def count_interpolating_polynomials_alt(xs, As, e: int, d: int, ctx: PrimeFieldC
     p = ctx.p
     _charge(_coeff_cost(xs, e, d, p))
     count = int(d >= 0 and all(a == 1 for a in As))  # f = 1
+    if d < 1:
+        return count
     roots = ctx.extract_roots(As[0], e)
     x0, rest = xs[0], list(zip(xs[1:], As[1:]))
     for deg in range(1, d + 1):

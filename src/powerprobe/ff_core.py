@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from functools import lru_cache
 from itertools import islice
 from operator import indexOf
 
@@ -35,12 +36,18 @@ class BudgetExceededError(RuntimeError):
     """The enumeration would exceed the operation budget."""
 
 
-def _budget() -> int:
-    # POWERPROBE_BUDGET, else DEFAULT_BUDGET
+@lru_cache(maxsize=16)
+def _parse_budget(raw: str | None) -> int:
     try:
-        return int(os.environ.get("POWERPROBE_BUDGET", DEFAULT_BUDGET))
+        return DEFAULT_BUDGET if raw is None else int(raw)
     except ValueError:
         return DEFAULT_BUDGET
+
+
+def _budget() -> int:
+    # POWERPROBE_BUDGET, else DEFAULT_BUDGET; read on every call, so a change
+    # takes effect at once, and each distinct value parsed once
+    return _parse_budget(os.environ.get("POWERPROBE_BUDGET"))
 
 
 def _charge(estimate: int) -> None:

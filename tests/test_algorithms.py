@@ -621,6 +621,7 @@ class TestStep3:
         assert stats.candidates_in == 2
         assert stats.m == 1
         assert stats.filter_top == 1  # d(m-1)+1
+        assert stats.scan_end == 0  # f alone matches x = 0, 1: no scan
 
     def test_non_square_free_discarded(self):
         p, e, d = 101, 5, 2
@@ -732,6 +733,32 @@ class TestInterpolate:
                 budget = ((2 * d - 1) * res.n ** 2 + res.n
                           + d * (res.m - 1) + 2 + res.survivors * res.window.H)
                 assert res.query_count <= budget
+
+    @pytest.mark.parametrize("p, e, d, seed", [(101, 5, 2, 3), (1009, 3, 3, 1),
+                                               ((1 << 61) - 1, 231, 2, 1)])
+    def test_sole_filter_survivor_costs_2d_plus_1_queries(self, p, e, d, seed):
+        # n = 1, m = 1 and no root of f among x = 0..2d: step 2's candidates
+        # hold f, so the one that alone matches x = 0, 1 is f, and step 3
+        # queries no point past step 1's
+        spec = gen_instance(p, e, d, seed, require_square_free=True)
+        assert all(spec.f(x) for x in range(2 * d + 1))
+        inner = make_oracle(spec)
+        res = interpolate(CachingOracle(inner), d)
+        assert res.poly == spec.f
+        assert (res.m, res.survivors) == (1, 1)
+        assert [x for x, _ in inner.transcript] == list(range(2 * d + 1))
+        assert res.query_count == 2 * d + 1
+
+    def test_two_filter_survivors_scan_the_window(self):
+        # two candidates match x = 0, 1 here; the scan of x = 1..d*e + 1
+        # (H = 14 > 11) tells them apart
+        spec = gen_instance(31, 5, 2, 0, require_square_free=True)
+        inner = make_oracle(spec)
+        res = interpolate(CachingOracle(inner), 2)
+        assert res.poly == spec.f
+        assert res.survivors == 2
+        assert [x for x, _ in inner.transcript] == list(range(12))
+        assert res.query_count == 12
 
     def test_zero_in_window_path(self):
         p, e, d = 101, 5, 2

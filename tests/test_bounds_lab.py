@@ -278,6 +278,14 @@ class TestInterpCountStrategies:
         assert count_interpolating_polynomials(xs, As, 2, d, ctx) == want
         assert count_interpolating_polynomials_alt(xs, As, 2, d, ctx) == want
 
+    @pytest.mark.parametrize("d, want", [(-1, 0), (0, 1)])
+    def test_no_roots_extracted_below_degree_one(self, monkeypatch, d, want):
+        # neither answer needs a root, so neither counter is charged for one
+        monkeypatch.setenv("POWERPROBE_BUDGET", "1")
+        xs, As, ctx = [0, 1, 2], [1, 1, 1], PrimeFieldCtx(13)
+        assert count_interpolating_polynomials(xs, As, 2, d, ctx) == want
+        assert count_interpolating_polynomials_alt(xs, As, 2, d, ctx) == want
+
     def test_budget_refused(self, monkeypatch):
         monkeypatch.setenv("POWERPROBE_BUDGET", "1000")
         ctx = PrimeFieldCtx(101)

@@ -170,7 +170,12 @@ class TestInterpolate:
         code, out, _ = run(capsys, "interpolate", "--transcript", str(t),
                            "--d", "2")
         assert code == 0
-        assert payload(out)["recovered_f"] == first["recovered_f"]
+        again = payload(out)
+        for data in (first, again):
+            data.pop("wall_time_ms")
+        assert again == first
+        # one header line, then one entry per distinct point: x = 0..2d
+        assert len(t.read_text().splitlines()) == 1 + first["query_count"] == 1 + 5
 
     def test_incomplete_transcript(self, capsys, tmp_path):
         oracle = LocalPowerOracle(101, 5, Poly(101, [41, 19, 1]))

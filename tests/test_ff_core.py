@@ -247,6 +247,19 @@ class TestExtractRoots:
         assert ctx.extract_roots(4, 2) == (2, 11)
         assert 3 not in ctx._plans  # the refused e got no root plan
 
+    def test_budget_follows_the_environment(self, monkeypatch):
+        # each value is parsed once, yet every call sees the current one
+        ctx = PrimeFieldCtx(13)
+        for budget, refused in (("2", True), ("3", False), ("2", True), ("junk", False)):
+            monkeypatch.setenv("POWERPROBE_BUDGET", budget)
+            if refused:
+                with pytest.raises(BudgetExceededError):
+                    ctx.extract_roots(8, 3)
+            else:
+                assert ctx.extract_roots(8, 3) == (2, 5, 6)
+        monkeypatch.delenv("POWERPROBE_BUDGET")
+        assert ctx.extract_roots(8, 3) == (2, 5, 6)
+
     def test_huge_e_refused_before_its_plan(self):
         # mu_e would hold 1,164,127,965 elements: the charge refuses at once
         p, e = (1 << 61) - 1, 1164127965
