@@ -3,21 +3,24 @@
 The interpolation pipeline follows three steps: collect answers on a short
 window and pick shifted query pairs whose answer ratios admit an e-th root with
 the right index congruence, enumerate the candidate polynomials consistent with
-every pair by solving small full-rank linear systems assembled from their
-roots, then filter candidates down to one via extra points and a square-free
-check.  Each pair keeps every e-th root of its answer ratio, so its root set
-always holds the true ratio f(x)/f(x+h), and step 2 returns every f the pairs
-admit.  With an honest oracle a candidate that alone matches the extra points
-is therefore the hidden f, and only two or more such candidates are told apart
-by an identity scan.  `interpolate` checks the winner against every answer it
-received, so a dishonest oracle gets a typed error or a consistent f.
+every pair from the e-th roots of their ratios, then filter candidates down to
+one via extra points and a square-free check.  A pair keeps its answer ratio A,
+and admits every e-th root of A, so it always admits the true ratio
+f(x)/f(x+h), and step 2 returns every f the pairs admit.  With an honest oracle
+a candidate that alone matches the extra points is therefore the hidden f, and
+only two or more such candidates are told apart by an identity scan.
+`interpolate` checks the winner against every answer it received, so a
+dishonest oracle gets a typed error or a consistent f.
 
-Step 2 walks root choices pair by pair in about e^(d-1) nodes, charged
+Step 2 extracts roots only for the pairs it enumerates, after its charge
 against the operation budget (BudgetExceededError).  A chain of pairs at
-x_0, x_0 + h, ... is solved in value space, with finite differences and one
-set intersection per leaf, and charged its whole node count before the first;
-any other group takes the basis walk, with pencil rows w - y*u and a line
-solve at rank d-1, which prunes and so charges as it goes.
+x_0, x_0 + h, ... is solved in value space by meet-in-the-middle over the
+vanishing (d+1)-th finite difference: a table of e^m choices for the first
+m = (d+1)//2 pairs, probed by a stream over the rest, so about
+e^ceil((d+1)/2) work, charged in full before the first root (by `interpolate`
+before step 1's first query).  Any other group takes the basis walk, with
+pencil rows w - y*u and a line solve at rank d-1, about e^(d-1) nodes, which
+prunes and so charges as it goes.
 """
 
 from __future__ import annotations
@@ -25,13 +28,20 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd
 from operator import mul
 
-from .ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, _budget, _charge, iroot
+from .ff_core import (MAX_MODULUS, BudgetExceededError, DomainError, PrimeFieldCtx, _budget,
+                      _charge, iroot)
 from .oracle import CachingOracle, PowerOracle
 from .poly_algebra import (Poly, is_square_free, lagrange_basis, lagrange_interpolate,
                            poly_power_root)
+
+
+# most entries of the chain solve's table, whatever the operation budget: an
+# entry takes about 120 bytes ((1155, 3) at p = 2^61 - 1 holds 1.33M of them
+# in 160 MB), so a table stays below about 250 MB
+CHAIN_TABLE_CAP = 1 << 21
 
 
 class AlgorithmError(RuntimeError):
@@ -169,16 +179,18 @@ def identity_test(oracle_f: PowerOracle, oracle_g: PowerOracle,
 
 @dataclass(frozen=True)
 class Pair:
-    """Query pair (x, x+h), h that of its group, with every e-th root of the
-    answer ratio."""
+    """Query pair (x, x+h), h that of its group, with its adjusted answer
+    ratio A = f(x)^e / f(x+h)^e: the pair admits a ratio v when v != 0 and
+    v^e = A, so its roots are every e-th root of A."""
 
     x: int
-    roots: tuple[int, ...]
+    ratio: int
 
 
 @dataclass(frozen=True)
 class PairGroup:
     h: int
+    e: int
     pairs: tuple[Pair, ...]
 
 
@@ -194,15 +206,16 @@ class Step1Result:
 
 
 def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
-    """Query x = 0..(2d-1)n^2+n and assemble shifted pairs with root sets.
+    """Query x = 0..(2d-1)n^2+n and assemble shifted pairs with their ratios.
 
     Zero answers are roots of the hidden polynomial; they are divided out and
     the pair search runs at the reduced degree over the same window.  Blocks
     [i n, (i+1) n] for i = 0..(2d-1)n are scanned, for the shifts h = 1..n in
     turn, for the first pair (x, x+h) whose adjusted answer ratio A has an
     e-th root y with y^((p-1)/n) = 1, that is A^((p-1)/gcd(n e, p-1)) = 1.
-    That pair keeps every e-th root of its ratio, so it always holds the true
-    ratio.  The first shift with 2*d_rem such blocks gives the one group.
+    That pair keeps its ratio A, whose e-th roots include the true ratio
+    f(x)/f(x+h); no root is extracted here.  The first shift with 2*d_rem
+    such blocks gives the one group.
     """
     p, e = oracle.p, oracle.e
     if d < 1:
@@ -212,7 +225,8 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
     top = (2 * d - 1) * n * n + n
     if top >= p:
         raise DomainError("query range must fit below p")
-    ctx = PrimeFieldCtx(p)
+    if p >= MAX_MODULUS:  # step 2's PrimeFieldCtx refuses it: refuse before any query
+        raise DomainError("modulus must be below 2^62")
     answers = {x: oracle.query(x) for x in range(top + 1)}
     zeros = tuple(sorted(x for x, a in answers.items() if a == 0))
     if len(zeros) > d:
@@ -232,11 +246,11 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
                     continue
                 ratio = adjusted[x] * pow(adjusted[x + h], -1, p) % p
                 if pow(ratio, index, p) == 1:
-                    pairs.append(Pair(x, ctx.extract_roots(ratio, e)))
+                    pairs.append(Pair(x, ratio))
                     break
             if len(pairs) == need:
                 return Step1Result(n, top, zeros, d_rem, known, adjusted,
-                                   (PairGroup(h, tuple(pairs)),))
+                                   (PairGroup(h, e, tuple(pairs)),))
     raise DishonestOracleError("no shift has enough supported blocks")
 
 
@@ -246,7 +260,8 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
 class RankLog:
     """Dichotomy bookkeeping for the step 2 walk.
 
-    One event per walk node.  At a node below rank d-1 the pair's rows form
+    One event per basis-walk node, or per table entry and probing leaf of a
+    chain solve.  At a node below rank d-1 the pair's rows form
     the pencil w - y*u; if two or more roots y keep the rank consistently,
     both u and w must already reduce to zero against the basis (then every y
     keeps it).  The pencil makes this hold by construction, so the count of
@@ -343,54 +358,89 @@ def _line_points(basis, rest, d, p):
     return []
 
 
-def _chain_solve(group, d, p, rank_log, limit):
-    """Candidates of a chain group, solved in value space.
+def _chain_cost(e, d):
+    # table entries plus probe keys of `_chain_solve`, d + 1 operations each;
+    # the table is held in memory, so past CHAIN_TABLE_CAP entries the solve
+    # is refused whatever the budget
+    m = (d + 1) // 2
+    if e ** m > CHAIN_TABLE_CAP:
+        raise BudgetExceededError("budget: chain table of %d entries passes %d"
+                                  % (e ** m, CHAIN_TABLE_CAP))
+    return (e ** m + e ** (d + 1 - m)) * (d + 1)
 
-    With F_j = f(x_0 + jh), pair k says F_k = y_k F_{k+1}, and a degree-d f
-    has F_{s+d+1} = sum_{j<=d} mu_j F_{s+j}, mu_j = (-1)^(d-j) C(d+1, j).
-    No F_j is zero: scale F_{d-1} = 1 and walk y_{d-2}..y_0 depth first.  At
-    a leaf F_{d+1}/F_d = alpha y_{d-1} + mu_d, alpha = sum_{j<d} mu_j F_j, and
-    pair d holds when that lies in 1/R_d: one set intersection finds the
-    y_{d-1} that hold (all or none when alpha = 0).  Survivors are checked on
-    the rest of the chain and read off F_0..F_d through the Lagrange basis.
-    Each node charges what a pencil node at its depth does, all before the first.
+
+def _chain_solve(group, d, p, rank_log, limit):
+    """Candidates of a chain group, solved in value space by meet-in-the-middle.
+
+    With F_j = f(x_0 + jh), pair k says F_k = y_k F_(k+1), y_k an e-th root of
+    its ratio, and a degree-d f has sum_j nu_j F_(s+j) = 0 over j <= d+1,
+    nu_j = (-1)^(d+1-j) C(d+1, j).  No F_j is zero: scale F_m = 1 at
+    m = (d+1)//2.  The table holds the e^m choices of y_0..y_(m-1), keyed by
+    sum_(j<=m) nu_j F_j, each as a packed index (base e digits), collisions in
+    side lists.  The stream walks y_m..y_(d-1) depth first, e^(d-m) leaves,
+    and at each leaf makes the e keys that y_d needs in one list and meets the
+    table in one set operation.  Hits are checked on pairs d+1.. by the
+    recurrence and read off F_0..F_d through the Lagrange basis.  The whole
+    solve is charged (e^m + e^(d+1-m))(d+1) before any root is extracted, and
+    only pairs 0..d have theirs extracted; the others test v^e = A.
     """
-    sizes = [len(pr.roots) for pr in group.pairs]
-    nodes = [prod(sizes[k:d - 1]) for k in range(d)]  # at depth k: every node expands every root
-    if sum(w * (d + 1) * (3 * (d - 1 - k) + sizes[d - 1 - k]) for k, w in enumerate(nodes)) > limit:
+    e, m = group.e, (d + 1) // 2
+    if _chain_cost(e, d) > limit:
         raise BudgetExceededError("budget: step 2 walk passed %d ops" % limit)
-    rank_log.events += sum(nodes)
-    roots = [frozenset(pr.roots) for pr in group.pairs]
-    mu = [(-1) ** (d - j) * comb(d + 1, j) % p for j in range(d + 1)]
+    ctx = PrimeFieldCtx(p)
+    # y_j for the table's pairs j < m, and 1/y_j, the roots of 1/A, for the stream's
+    roots = [ctx.extract_roots(pr.ratio if j < m else pow(pr.ratio, -1, p), e)
+             for j, pr in enumerate(group.pairs[:d + 1])]
+    rank_log.events += e ** m + e ** (d - m)
+    nu = [(-1) ** (d + 1 - j) * comb(d + 1, j) % p for j in range(d + 2)]
     cols = list(zip(*(b.coeffs for b in lagrange_basis(p, [pr.x for pr in group.pairs[:d + 1]]))))
-    last, md = roots[d - 1], mu[d]
-    inv_next = {pow(y, -1, p) for y in roots[d]}
-    F = [0] * d
-    found = set()
-    stack = [(d - 1, 1, mu[d - 1])]  # k, F_k, sum of mu_j F_j over k <= j < d
-    while stack:
-        k, fk, part = stack.pop()
-        F[k] = fk
-        if k:
-            m = mu[k - 1]
-            stack.extend((k - 1, f, (part + m * f) % p) for f in [y * fk % p for y in roots[k - 1]])
-            continue
-        hits = inv_next.intersection([(part * y + md) % p for y in last])
-        for y in last if hits else ():
-            z = (part * y + md) % p
-            if z not in hits:
-                continue
-            vals = [v * y % p for v in F] + [1, z]  # F_0..F_(d+1), scaled to F_d = 1
-            for k in range(d + 1, len(roots)):
-                nxt = sum(map(mul, mu, vals[k - d:])) % p
-                if not nxt or vals[k] * pow(nxt, -1, p) % p not in roots[k]:
-                    break
-                vals.append(nxt)
+    level = [(1, nu[m], 0)]  # F_j, sum of nu_i F_i over j <= i <= m, digits of y_j..y_(m-1)
+    for j in range(m - 1, 0, -1):
+        level = [(y * f % p, (s + nu[j] * y * f) % p, idx * e + t)
+                 for f, s, idx in level for t, y in enumerate(roots[j])]
+    table, more = {}, {}
+    for f, s, idx in level:  # y_0 last: its digit is the lowest of the index
+        a = nu[0] * f % p
+        for i, y in enumerate(roots[0], idx * e):
+            k = (s + a * y) % p
+            if k in table:
+                more.setdefault(k, []).append(i)
             else:
-                lead = sum(map(mul, cols[d], vals)) % p
-                if lead:  # else f has degree below d
-                    inv = pow(lead, -1, p)
-                    found.add(tuple(sum(map(mul, c, vals)) * inv % p for c in cols[:d]) + (1,))
+                table[k] = i
+    F = [0] * (d + 2)
+    found = set()
+    stack = [(m, 1, 0)]  # j, F_j, sum of nu_i F_i over m < i <= j
+    while stack:
+        j, fj, s = stack.pop()
+        F[j] = fj
+        if j < d:
+            stack.extend((j + 1, g, (s + nu[j + 1] * g) % p) for g in [fj * w % p for w in roots[j]])
+            continue
+        c = -s  # nu_(d+1) = 1: y_d = 1/w holds when the table has -s - F_d w
+        probes = [(c - fj * w) % p for w in roots[d]]
+        if table.keys().isdisjoint(probes):
+            continue
+        for w, k in zip(roots[d], probes):
+            if k not in table:
+                continue
+            F[d + 1] = fj * w % p
+            for idx in [table[k]] + more.get(k, []):
+                vals, f = F[:], 1  # vals[i] holds digit t_i, then F_i, for i < m
+                for i in range(m):
+                    idx, vals[i] = divmod(idx, e)
+                for i in range(m - 1, -1, -1):
+                    f = vals[i] = f * roots[i][vals[i]] % p
+                for q in range(d + 1, len(group.pairs)):
+                    nxt = -sum(map(mul, nu, vals[q - d:])) % p
+                    if not nxt or pow(vals[q] * pow(nxt, -1, p), e, p) != group.pairs[q].ratio:
+                        break
+                    vals.append(nxt)
+                else:
+                    lead = sum(map(mul, cols[d], vals)) % p
+                    if lead:  # else f has degree below d
+                        inv_lead = pow(lead, -1, p)
+                        found.add(tuple(sum(map(mul, c, vals)) * inv_lead % p
+                                        for c in cols[:d]) + (1,))
     return found
 
 
@@ -398,15 +448,17 @@ def _pencil_walk(group, d, p, rank_log, limit):
     """Candidates of any group: backtracking over a basis that only
     rank-increasing equations enter, and a line solve at rank d-1
     (`_line_points`).  Root y's row w - y*u reduces to rw - y*ru, so a node
-    reduces u and w once; when u reduces to zero, one root stands for all."""
-    spent, h = 0, group.h
+    reduces u and w once; when u reduces to zero, one root stands for all.
+    The roots of every pair are extracted before the first node."""
+    spent, h, ctx = 0, group.h, PrimeFieldCtx(p)
     pairs = []
     for pr in group.pairs:
         xp = [pow(pr.x, k, p) for k in range(d + 1)]
         hp = [pow(pr.x + h, k, p) for k in range(d + 1)]
         w_vec = xp[:d] + [-xp[d] % p]
         u_vec = hp[:d] + [-hp[d] % p]
-        pairs.append((u_vec, w_vec, pr.roots, frozenset(pr.roots)))
+        roots = ctx.extract_roots(pr.ratio, group.e)
+        pairs.append((u_vec, w_vec, roots, frozenset(roots)))
 
     found: set[tuple] = set()
     stack = [(0, [])]
@@ -446,12 +498,14 @@ def step2_candidates(group: PairGroup, d: int, p: int,
     """Enumerate monic degree-d polynomials from the group's root choices.
 
     The result is every monic degree-d f that the pair equations
-    f(x) = y f(x+h) fix and whose ratio f(x)/f(x+h) lies in each pair's root
-    set; an f with f(x) = f(x+h) = 0 at some pair is not one of them.  A
-    chain, where every pair starts where the one before it ends (step 1 with
-    n = 1 unless f has a root in its window), goes to `_chain_solve`, any
-    other group to `_pencil_walk`; on a chain both give the same candidates
-    from the same number of nodes, about e^(d-1).
+    f(x) = y f(x+h) fix and whose ratio f(x)/f(x+h) is an e-th root of each
+    pair's ratio; an f with f(x) = f(x+h) = 0 at some pair is not one of
+    them.  A chain, where every pair starts where the one before it ends
+    (step 1 with n = 1 unless f has a root in its window), goes to
+    `_chain_solve`, a meet-in-the-middle over pairs 0..d in about
+    e^ceil((d+1)/2) operations; any other group goes to `_pencil_walk`,
+    about e^(d-1) nodes.  Roots are extracted only here, for the pairs that
+    a solve enumerates.
 
     A step-1 group fixes every f it admits, so no f is lost there: its 2d
     pairs sit at distinct x.  If g != 0 of degree < d had the same ratios as
@@ -459,9 +513,13 @@ def step2_candidates(group: PairGroup, d: int, p: int,
     vanish at 2d points.  Then g/f would be h-periodic, hence constant
     (d < p), hence g = 0.  A group of fewer pairs may leave some f unfixed.
 
-    A node costs about (d+1)(3 depth + e) field operations against the
-    operation budget (`POWERPROBE_BUDGET`, default DEFAULT_BUDGET); past it
-    the walk raises BudgetExceededError, a chain before its first node.
+    A chain is charged (e^m + e^(d+1-m))(d+1), m = (d+1)//2, before its
+    first root, and refused when its table of e^m entries, held in memory,
+    would pass CHAIN_TABLE_CAP; a basis-walk node costs about
+    (d+1)(3 depth + e), charged as it goes.  Past the operation budget
+    (`POWERPROBE_BUDGET`, default DEFAULT_BUDGET) either raises
+    BudgetExceededError.  `rank_log.events` counts table entries plus
+    probing leaves on a chain, walk nodes otherwise.
     """
     if rank_log is None:
         rank_log = RankLog()
@@ -570,7 +628,8 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
     candidates match step 3's points.  The winner is checked against every
     answer received, so any oracle gets a typed error or a monic f whose e-th
     powers match all of them.  e = 1 takes the naive route; a NoValidMError
-    comes before the first query.
+    comes before the first query, and so, with n = 1, does the charge of
+    step 2's chain solve.
     """
     t0 = time.perf_counter()
     p, e = oracle.p, oracle.e
@@ -588,6 +647,8 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
 
     window = compute_window(p, e, d, c1)
     choose_m(p, e, m_cap)  # depends on p and e only: refuse before any query
+    if n == 1:  # step 1 gives a chain unless f has a root in its window
+        _charge(_chain_cost(e, d))
     s1 = step1_collect(memo, d, n)
     rank = RankLog()
     candidates = [s1.known_factor]

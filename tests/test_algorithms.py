@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -20,7 +21,7 @@ from powerprobe.algorithms import (AlgorithmError, AmbiguousCandidatesError,
                                    interpolate, naive_power_interpolate,
                                    regime_condition_holds, step1_collect,
                                    step2_candidates, step3_filter)
-from powerprobe.algorithms import _chain_solve, _pencil_walk
+from powerprobe.algorithms import CHAIN_TABLE_CAP, _chain_solve, _pencil_walk
 from powerprobe.ff_core import (BudgetExceededError, DomainError,
                                 PrimeFieldCtx, iroot, is_prime)
 from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
@@ -230,10 +231,12 @@ class TestStep1:
         group = s1.groups[0]
         assert group.h == 1
         assert [pair.x for pair in group.pairs] == [0, 1, 2, 3]
+        assert group.e == 5
         for pair in group.pairs:
-            assert len(pair.roots) == 5  # every e-th root of the ratio
+            # the answer ratio, whose five 5-th roots include f(x)/f(x+1)
             ratio = spec.f(pair.x) * pow(spec.f(pair.x + 1), -1, 101) % 101
-            assert ratio in pair.roots
+            assert pow(ratio, 5, 101) == pair.ratio
+            assert ratio in PrimeFieldCtx(101).extract_roots(pair.ratio, 5)
 
     def test_zero_peeling_adjusts_answers(self):
         p, e = 101, 5
@@ -280,7 +283,7 @@ class TestStep1:
                 if denom == 0:
                     continue
                 ratio = rem(pair.x) * pow(denom, -1, 31) % 31
-                if ratio in pair.roots:
+                if pow(ratio, group.e, 31) == pair.ratio:
                     found = True
         assert found
 
@@ -318,7 +321,7 @@ class TestStep1:
             group, = s1.groups
             for pair in group.pairs:
                 ratio = spec.f(pair.x) * pow(spec.f(pair.x + group.h), -1, p) % p
-                assert ratio in pair.roots
+                assert pow(ratio, e, p) == pair.ratio
             cand = step2_candidates(group, d, p)
             brute = brute_group_consistent(group, d, p)
             assert cand.polys == sorted(brute, key=lambda q: q.coeffs)
@@ -334,7 +337,7 @@ def brute_group_consistent(group, d, p):
         for pair in group.pairs:
             qa = q(pair.x % p)
             qb = q((pair.x + group.h) % p)
-            if qb == 0 or qa * pow(qb, -1, p) % p not in pair.roots:
+            if qb == 0 or pow(qa * pow(qb, -1, p), group.e, p) != pair.ratio:
                 ok = False
                 break
         if ok:
@@ -375,9 +378,9 @@ def brute_group_fixed(group, d, p):
 
 
 def every_root_group(p, xs):
-    # pairs (x, x+1) keeping every root of F_p^*: an f passes a pair when it
-    # vanishes at neither point
-    return PairGroup(1, tuple(Pair(x, tuple(range(1, p))) for x in xs))
+    # pairs (x, x+1) with ratio 1 at e = p - 1, whose roots are all of F_p^*:
+    # an f passes a pair when it vanishes at neither point
+    return PairGroup(1, p - 1, tuple(Pair(x, 1) for x in xs))
 
 
 PRIMES = [q for q in range(3, 10010) if is_prime(q)]
@@ -413,7 +416,8 @@ class TestStep2:
             cand = step2_candidates(group, 2, 13, rank_log=log)
             brute = brute_group_consistent(group, 2, 13)
             assert spec.f in brute
-            assert all(len(pair.roots) == 3 for pair in group.pairs)
+            assert all(len(PrimeFieldCtx(13).extract_roots(pair.ratio, 3)) == 3
+                       for pair in group.pairs)
             assert cand.polys == sorted(brute, key=lambda q: q.coeffs)
             assert log.violations == 0
             assert log.events > 0
@@ -488,7 +492,7 @@ class TestStep2:
     @given(st.data())
     def test_chain_solve_equals_pencil_walk(self, data):
         # step-1 groups at p <= 10009, e | p - 1, d <= 4 and e^d <= 2*10^4;
-        # p = 7 and 13 with e = p - 1 give leaves where alpha = 0
+        # p = 7 and 13 with e = p - 1 give table keys that collide
         p, e = data.draw(st.sampled_from([(7, 6), (13, 12)]) | st.sampled_from(PRIMES).flatmap(
             lambda q: st.tuples(st.just(q), st.sampled_from(
                 [k for k in range(2, q) if (q - 1) % k == 0]))))
@@ -498,29 +502,63 @@ class TestStep2:
         s1 = step1_collect(CachingOracle(make_oracle(spec)), d)
         assume(s1.groups and is_chain(s1.groups[0]))  # else f has a root at x <= 2d
         group, = s1.groups
-        chain, walk = RankLog(), RankLog()
-        got = _chain_solve(group, s1.d_rem, p, chain, 10 ** 12)
-        assert got == _pencil_walk(group, s1.d_rem, p, walk, 10 ** 12)
-        assert chain.events == walk.events
-        # the walk's exact charge: depth k has one node per root choice of
-        # pairs k..d-2, each charged (d+1)(3(d-1-k) + |R_(d-1-k)|)
-        d_rem, sizes = s1.d_rem, [len(pr.roots) for pr in group.pairs]
-        cost = sum(math.prod(sizes[k:d_rem - 1]) * (d_rem + 1)
-                   * (3 * (d_rem - 1 - k) + sizes[d_rem - 1 - k]) for k in range(d_rem))
-        for solve in (_chain_solve, _pencil_walk):
-            refused = RankLog()
+        d_rem, m = s1.d_rem, (s1.d_rem + 1) // 2
+        chain = RankLog()
+        got = _chain_solve(group, d_rem, p, chain, 10 ** 12)
+        assert got == _pencil_walk(group, d_rem, p, RankLog(), 10 ** 12)
+        assert (spec.f // s1.known_factor).coeffs in got
+        assert chain.events == e ** m + e ** (d_rem - m)  # table entries, probing leaves
+        # the exact charge: e^m table entries and e^(d+1-m) probe keys,
+        # d + 1 operations each, all before the first root is extracted
+        cost = (e ** m + e ** (d_rem + 1 - m)) * (d_rem + 1)
+        refused = RankLog()
+        with mock.patch.object(PrimeFieldCtx, "extract_roots") as extract:
             with pytest.raises(BudgetExceededError, match="walk passed %d ops" % (cost - 1)):
-                solve(group, d_rem, p, refused, cost - 1)
-            assert solve(group, d_rem, p, RankLog(), cost) == got
-            if solve is _chain_solve:
-                assert refused.events == 0
+                _chain_solve(group, d_rem, p, refused, cost - 1)
+        assert refused.events == 0 and not extract.called
+        assert _chain_solve(group, d_rem, p, RankLog(), cost) == got
+        # the basis walk's exact charge on the same chain: depth k has one
+        # node per root choice of pairs k..d-2, each charged
+        # (d+1)(3(d-1-k) + |R_(d-1-k)|)
+        ctx = PrimeFieldCtx(p)
+        sizes = [len(ctx.extract_roots(pr.ratio, e)) for pr in group.pairs]
+        walk_cost = sum(math.prod(sizes[k:d_rem - 1]) * (d_rem + 1)
+                        * (3 * (d_rem - 1 - k) + sizes[d_rem - 1 - k]) for k in range(d_rem))
+        with pytest.raises(BudgetExceededError, match="walk passed %d ops" % (walk_cost - 1)):
+            _pencil_walk(group, d_rem, p, RankLog(), walk_cost - 1)
+        assert _pencil_walk(group, d_rem, p, RankLog(), walk_cost) == got
         if p <= 31:
-            assert got == {f.coeffs for f in brute_group_consistent(group, s1.d_rem, p)}
+            assert got == {f.coeffs for f in brute_group_consistent(group, d_rem, p)}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_chain_solve_equals_brute_at_small_p(self, data):
+        # hand-built chains of d + 1 to 2d pairs at p <= 31 and p^d <= 5000,
+        # every e | p - 1 with e >= 2; at e = p - 1 every ratio is 1 and the
+        # table's e^m entries share at most p keys.  Ratios come from a
+        # random monic f, or are random e-th powers
+        p = data.draw(st.sampled_from([q for q in range(5, 32) if is_prime(q)]))
+        e = data.draw(st.just(p - 1) | st.sampled_from([k for k in range(2, p) if (p - 1) % k == 0]))
+        d = data.draw(st.integers(1, (p - 1) // 2).filter(lambda k: p ** k <= 5000))
+        h = data.draw(st.integers(1, (p - 1) // (2 * d)))
+        x0 = data.draw(st.integers(0, p - 1 - 2 * d * h))
+        f = Poly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1])
+        honest = data.draw(st.booleans())
+        ratios = []
+        for k in range(data.draw(st.integers(d + 1, 2 * d))):
+            a, b = f(x0 + k * h), f(x0 + (k + 1) * h)
+            v = a * pow(b, -1, p) % p if honest and a and b else data.draw(st.integers(1, p - 1))
+            ratios.append(pow(v, e, p))
+        group = PairGroup(h, e, tuple(Pair(x0 + k * h, a) for k, a in enumerate(ratios)))
+        got = _chain_solve(group, d, p, RankLog(), 10 ** 12)
+        assert got == {q.coeffs for q in brute_group_consistent(group, d, p)}
+        cand = step2_candidates(group, d, p)
+        assert {q.coeffs for q in cand.polys} == got
 
     def test_chain_keeps_every_root_when_alpha_vanishes(self):
-        # e = p - 1: every pair keeps all of F_7^*, so every monic quadratic
-        # with no root at x = 0..4 is a candidate; at a leaf with alpha = 0
-        # every y holds, and none of the 24 may be lost
+        # e = p - 1: every pair admits all of F_7^*, so every monic quadratic
+        # with no root at x = 0..4 is a candidate, and none of the 24 may be
+        # lost where table keys collide
         spec = gen_instance(7, 6, 2, seed=0)
         s1 = step1_collect(CachingOracle(make_oracle(spec)), 2)
         group, = s1.groups
@@ -677,6 +715,37 @@ class TestInterpolate:
         assert res.poly == spec.f
         assert res.query_count <= res.query_budget
 
+    def test_paper_scale_chain_recovers_from_2d_plus_1_queries(self):
+        # at e = 231, d = 3 the chain solve meets a table of e^2 entries
+        # with e^2 probe keys, not e^3 walk leaves
+        spec = gen_instance((1 << 61) - 1, 231, 3, seed=1)
+        res = interpolate(CachingOracle(make_oracle(spec)), 3)
+        assert res.poly == spec.f
+        assert res.query_count == 7
+
+    @pytest.mark.parametrize("e, d", [(465465, 2), (231, 5)])
+    def test_paper_scale_refusal_comes_before_any_query(self, e, d):
+        # the chain solve's (e^m + e^(d+1-m))(d+1) passes 10^8 here, and with
+        # n = 1 it is charged before step 1 asks its first point
+        oracle = CachingOracle(make_oracle(gen_instance((1 << 61) - 1, e, d, seed=1)))
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            interpolate(oracle, d)
+        assert time.perf_counter() - t0 < 0.1
+        assert oracle.query_count == 0
+
+    def test_chain_table_past_cap_is_refused_before_any_query(self, monkeypatch):
+        # (3465, 3) charges (e^2 + e^2) * 4 = 96M ops, inside the default
+        # budget, but its table of e^2 = 12M entries would take about 1.4 GB:
+        # the entry cap refuses it whatever the budget
+        monkeypatch.setenv("POWERPROBE_BUDGET", str(10 ** 12))
+        e, d = 3465, 3
+        assert e ** 2 > CHAIN_TABLE_CAP
+        oracle = CachingOracle(make_oracle(gen_instance((1 << 61) - 1, e, d, seed=1)))
+        with pytest.raises(BudgetExceededError, match="chain table of %d entries" % e ** 2):
+            interpolate(oracle, d)
+        assert oracle.query_count == 0
+
     def test_round_trip_below_2_62(self):
         # 2^62 - 57 is the largest prime below 2^62, the README's limit
         p = (1 << 62) - 57
@@ -714,11 +783,15 @@ class TestInterpolate:
         assert calls.count(p) == 1
 
     def test_exponential_walk_hits_budget(self, monkeypatch):
-        # e = 2, d = 40 has 2^39 root paths; the walk must stop at the budget
+        # e = 2, d = 40 has 2^39 root paths; n = 2 makes the group no chain,
+        # so nothing is charged before step 1 and the basis walk must stop
+        # at the budget after step 1's queries
         monkeypatch.setenv("POWERPROBE_BUDGET", str(10 ** 6))
         spec = gen_instance(65537, 2, 40, seed=1, require_square_free=True)
-        with pytest.raises(BudgetExceededError):
-            interpolate(CachingOracle(make_oracle(spec)), 40)
+        oracle = CachingOracle(make_oracle(spec))
+        with pytest.raises(BudgetExceededError, match="step 2 walk passed"):
+            interpolate(oracle, 40, n=2)
+        assert oracle.query_count > 0
 
     def test_seeded_batch_exact(self):
         for (p, e, d) in [(101, 2, 2), (101, 5, 3), (1009, 2, 3), (1009, 3, 2),
@@ -792,13 +865,15 @@ class TestInterpolate:
 
     def test_non_clean_round_trip(self):
         # n does not divide (p-1)/e: the index filter holds for only some
-        # roots of a ratio, so pairs keep every root to hold the true one
+        # roots of a ratio, so pairs keep the ratio, whose e roots hold the
+        # true one
         for (p, e, d, n) in [(31, 3, 2, 3), (1009, 3, 2, 9)]:
             assert ((p - 1) // e) % n != 0
+            ctx = PrimeFieldCtx(p)
             for seed in range(4):
                 spec = gen_instance(p, e, d, seed=seed, require_square_free=True)
                 s1 = step1_collect(CachingOracle(make_oracle(spec)), d, n=n)
-                assert all(len(pair.roots) == e
+                assert all(len(ctx.extract_roots(pair.ratio, e)) == e
                            for g in s1.groups for pair in g.pairs)
                 oracle = CachingOracle(make_oracle(spec))
                 res = interpolate(oracle, d, n=n)
