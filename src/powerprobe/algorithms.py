@@ -34,8 +34,7 @@ from operator import mul
 from .ff_core import (MAX_MODULUS, BudgetExceededError, DomainError, PrimeFieldCtx, _budget,
                       _charge, iroot)
 from .oracle import CachingOracle, PowerOracle
-from .poly_algebra import (Poly, is_square_free, lagrange_basis, lagrange_interpolate,
-                           poly_power_root)
+from .poly_algebra import Poly, is_square_free, lagrange_interpolate, poly_power_root
 
 
 # most entries of the chain solve's table, whatever the operation budget: an
@@ -380,7 +379,8 @@ def _chain_solve(group, d, p, rank_log, limit):
     side lists.  The stream walks y_m..y_(d-1) depth first, e^(d-m) leaves,
     and at each leaf makes the e keys that y_d needs in one list and meets the
     table in one set operation.  Hits are checked on pairs d+1.. by the
-    recurrence and read off F_0..F_d through the Lagrange basis.  The whole
+    recurrence and f is read off F_0..F_d by Newton's forward differences
+    with one inverse (`_newton_monic`).  The whole
     solve is charged (e^m + e^(d+1-m))(d+1) before any root is extracted, and
     only pairs 0..d have theirs extracted; the others test v^e = A.
     """
@@ -393,7 +393,6 @@ def _chain_solve(group, d, p, rank_log, limit):
              for j, pr in enumerate(group.pairs[:d + 1])]
     rank_log.events += e ** m + e ** (d - m)
     nu = [(-1) ** (d + 1 - j) * comb(d + 1, j) % p for j in range(d + 2)]
-    cols = list(zip(*(b.coeffs for b in lagrange_basis(p, [pr.x for pr in group.pairs[:d + 1]]))))
     level = [(1, nu[m], 0)]  # F_j, sum of nu_i F_i over j <= i <= m, digits of y_j..y_(m-1)
     for j in range(m - 1, 0, -1):
         level = [(y * f % p, (s + nu[j] * y * f) % p, idx * e + t)
@@ -436,12 +435,39 @@ def _chain_solve(group, d, p, rank_log, limit):
                         break
                     vals.append(nxt)
                 else:
-                    lead = sum(map(mul, cols[d], vals)) % p
-                    if lead:  # else f has degree below d
-                        inv_lead = pow(lead, -1, p)
-                        found.add(tuple(sum(map(mul, c, vals)) * inv_lead % p
-                                        for c in cols[:d]) + (1,))
+                    coeffs = _newton_monic(vals[:d + 1], group.pairs[0].x, group.h, p)
+                    if coeffs:  # else f has degree below d
+                        found.add(coeffs)
     return found
+
+
+def _newton_monic(F, x0, h, p):
+    """Coefficients, low to high, of the monic f of degree d = len(F) - 1
+    with f(x0 + jh) proportional to F_j, or None when the values fit a
+    degree below d.
+
+    The d-th forward difference is d! h^d times the leading coefficient of
+    the interpolant g (d < p, h != 0), so it is zero exactly when g has
+    degree below d.  In Newton form g = sum_k D_k/(k! h^k) prod_(i<k)(x - x_i),
+    D_k the k-th difference at x0, and f = g / lead = sum_k c_k/D_d prod, with
+    c_k = D_k (d!/k!) h^(d-k): integer weights, expanded by Horner from
+    c_d = D_d, then scaled by the one inverse 1/D_d.
+    """
+    d, D, row = len(F) - 1, [F[0]], F
+    for _ in range(d):
+        row = [b - a for a, b in zip(row, row[1:])]
+        D.append(row[0])
+    if not D[d] % p:
+        return None
+    coeffs, w = [D[d]], 1  # w = (d!/k!) h^(d-k) for the k below
+    for k in range(d - 1, -1, -1):
+        w = w * (k + 1) * h % p
+        xk = x0 + k * h
+        # coeffs * (x - xk) + c_k, coefficients high to low
+        coeffs = [coeffs[0]] + [(b - xk * a) % p for a, b in zip(coeffs, coeffs[1:])] \
+            + [(D[k] * w - xk * coeffs[-1]) % p]
+    inv = pow(D[d], -1, p)
+    return tuple(c * inv % p for c in reversed(coeffs[1:])) + (1,)
 
 
 def _pencil_walk(group, d, p, rank_log, limit):
@@ -671,10 +697,12 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
 
 def naive_power_interpolate(oracle: PowerOracle, d: int) -> Poly:
     """Reference cross-check: interpolate f^e from d*e+1 points, then take the
-    e-th root; only valid when d*e < p."""
+    e-th root; only valid when d*e < p.  Its O((d*e)^2) work, (d*e + 1)^2,
+    is charged against the operation budget before the first query."""
     p, e = oracle.p, oracle.e
     if d * e + 1 > p:
         raise DomainError("need d*e + 1 distinct points")
+    _charge((d * e + 1) ** 2)  # interpolating f^e is O((d*e)^2)
     points = [(x, oracle.query(x)) for x in range(d * e + 1)]
     big = lagrange_interpolate(p, points)
     if big.degree != d * e or not big.is_monic:

@@ -1,11 +1,12 @@
 """Exact arithmetic in prime fields: contexts, subgroups, e-th roots, and the
 operation budget.
 
-Contexts and root extraction build no table sized by p or sqrt(p), and a
+Contexts and root extraction build no table sized by e, p or sqrt(p), and a
 context never factors p - 1.  e-th roots come from a few modular powers plus a
 discrete log in the subgroup whose order holds only the primes of e
-(Adleman-Manders-Miller, in its Pohlig-Hellman form), with everything that
-depends only on (p, e), the subgroup mu_e among it, computed once per context.
+(Adleman-Manders-Miller, in its Pohlig-Hellman form).  What depends only on p
+(primality) or only on (p, e) (the root plan, O(log p) ints) is computed once
+per process and kept in bounded caches.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 import os
 from functools import lru_cache
-from itertools import islice
-from operator import indexOf
 
 MAX_MODULUS = 1 << 62
 DEFAULT_BUDGET = 10 ** 8
@@ -56,10 +55,12 @@ def _charge(estimate: int) -> None:
         raise BudgetExceededError("budget: estimated %d ops" % estimate)
 
 
+@lru_cache(maxsize=256, typed=True)
 def is_prime(n: int) -> bool:
     """Miller-Rabin to the first k prime bases, k the least with n below
     A014233(k): exact for n < 3.3e24, a strong probable-prime test to the
-    bases 2..41 above."""
+    bases 2..41 above.  The last 256 answers are kept, so field checks at
+    one p (oracle, context) test it once per process."""
     if n < 2:
         return False
     for q in _MR_WITNESSES:
@@ -167,23 +168,55 @@ def find_primitive_root(p: int) -> int:
     return next(g for g in range(1, p) if _generates(g, p, radicals))
 
 
-class PrimeFieldCtx:
-    """Arithmetic context for F_p: a prime modulus and a root plan for each e
-    it has extracted e-th roots for.
+@lru_cache(maxsize=256)
+def _root_plan(p: int, e: int):
+    # (e^-1 mod s, h, zeta, the Pohlig-Hellman parts) for prime p and
+    # e | p - 1: see PrimeFieldCtx.extract_roots.  Only e is factored, and
+    # the plan holds O(log p) ints, none of the e roots of 1.
+    qs = set(factorize(e))
+    m = 1
+    for q in qs:
+        while (p - 1) % (m * q) == 0:
+            m *= q
+    s = (p - 1) // m
+    h = pow(next(c for c in range(1, p) if _generates(c, p, qs)), s, p)
+    zeta, he, m1 = pow(h, m // e, p), pow(h, e, p), m // e
+    # the log of r modulo each q^k || m1, digit by digit: (zeta^(e/q), m1/q^k,
+    # digits, CRT coefficient) for each q; a digit lies in
+    # <h^(m/q)> = <zeta^(e/q)>, the q-th roots of 1
+    parts = []
+    for q in qs:
+        qk = 1
+        while m1 % (qk * q) == 0:
+            qk *= q
+        if qk == 1:
+            continue
+        digits, hinv, qi = [], pow(he, -(m1 // qk), p), 1  # (exponent, hq^-qi, qi)
+        while qi < qk:
+            digits.append((qk // (qi * q), hinv, qi))
+            hinv, qi = pow(hinv, q, p), qi * q
+        parts.append((pow(zeta, e // q, p), m1 // qk, tuple(digits),
+                      m1 // qk * pow(m1 // qk, -1, qk)))
+    return pow(e, -1, s), h, zeta, tuple(parts)
 
-    The constructor checks only that p is a prime below 2^62; a plan is built
-    on the first root walk for its e and factors only e, so a context never
-    factors p - 1.  Field elements are plain ints in [0, p).
+
+class PrimeFieldCtx:
+    """Arithmetic context for F_p: a checked prime modulus.
+
+    The constructor checks only that p is a prime below 2^62, so a context
+    never factors p - 1.  Root plans depend on (p, e) alone and are kept
+    once per process, not per context (`_root_plan`).  Field elements are
+    plain ints in [0, p).
     """
 
-    __slots__ = ("p", "_plans")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not is_prime(p):
             raise DomainError("modulus must be prime")
         if p >= MAX_MODULUS:
             raise DomainError("modulus must be below 2^62")
-        self.p, self._plans = p, {}
+        self.p = p
 
     # ---------- subgroups and roots ----------
 
@@ -191,39 +224,6 @@ class PrimeFieldCtx:
         """All solutions of x^order = 1, sorted ascending: the roots of 1, so
         charged and planned as every root walk is."""
         return self.extract_roots(1, order)
-
-    def _root_plan(self, e: int):
-        # (e^-1 mod s, h, the Pohlig-Hellman parts, mu_e = zeta^0..zeta^(e-1)):
-        # see extract_roots.  Only e is factored.
-        p = self.p
-        qs = set(factorize(e))
-        m = 1
-        for q in qs:
-            while (p - 1) % (m * q) == 0:
-                m *= q
-        s = (p - 1) // m
-        h = pow(next(c for c in range(1, p) if _generates(c, p, qs)), s, p)
-        zeta, he, m1 = pow(h, m // e, p), pow(h, e, p), m // e
-        mu = [1]
-        for _ in range(e - 1):
-            mu.append(mu[-1] * zeta % p)
-        # the log of r modulo each q^k || m1, digit by digit: (q, m1/q^k,
-        # digits, CRT coefficient) for each q; a digit lies in
-        # <h^(m/q)> = <zeta^(e/q)>, so mu_e holds its log
-        parts = []
-        for q in qs:
-            qk = 1
-            while m1 % (qk * q) == 0:
-                qk *= q
-            if qk == 1:
-                continue
-            digits, hinv, qi = [], pow(he, -(m1 // qk), p), 1  # (exponent, hq^-qi, qi)
-            while qi < qk:
-                digits.append((qk // (qi * q), hinv, qi))
-                hinv, qi = pow(hinv, q, p), qi * q
-            parts.append((q, m1 // qk, digits, m1 // qk * pow(m1 // qk, -1, qk)))
-        plan = self._plans[e] = (pow(e, -1, s), h, parts, mu)
-        return plan
 
     def extract_roots(self, value: int, e: int, index_multiple: int = 1) -> tuple[int, ...]:
         """All y with y^e = value whose index is a multiple of index_multiple.
@@ -233,14 +233,16 @@ class PrimeFieldCtx:
         p - 1 = m*s, where m holds exactly the primes of e, so e is invertible
         mod s.  y0 = value^(e^-1 mod s) is a root up to r = value / y0^e,
         which lies in <h^e>, h of order m; its log c to base h^e
-        (Pohlig-Hellman over the primes of e, each base-q digit's log read
-        off its position in every (e/q)-th entry of mu_e) gives y = y0 * h^c.
-        The roots are y*zeta^t for t < e, zeta of order e; the index filter
-        keeps those with y^((p-1)/index_multiple) = 1.  Everything but y
-        depends on (p, e) only and is built once, on the first call for e
-        that has roots to walk.  value = 0 is a domain error because ind 0 is
-        undefined.  Result sorted ascending.  Walking the e roots is charged
-        e operations against the operation budget.
+        (Pohlig-Hellman over the primes of e, each base-q digit's log found
+        by stepping through the q-th roots of 1) gives y = y0 * h^c.  The
+        roots are y*zeta^t for t < e, zeta of order e, as a running product;
+        the index filter keeps those with y^((p-1)/index_multiple) = 1.
+        Everything but y depends on (p, e) only: `_root_plan` builds it on
+        the first call in the process at (p, e) that has roots to walk, and
+        keeps a bounded number of plans of O(log p) ints each.  value = 0 is
+        a domain error because ind 0 is undefined.  Result sorted ascending.
+        Walking the e roots is charged e operations against the operation
+        budget.
         """
         p = self.p
         if e < 1 or (p - 1) % e != 0:
@@ -254,22 +256,26 @@ class PrimeFieldCtx:
         if pow(value, (p - 1) // e, p) != 1:
             return ()
         _charge(e)
-        einv, h, parts, mu = self._plans.get(e) or self._root_plan(e)
+        einv, h, zeta, parts = _root_plan(p, e)
         y = pow(value, einv, p)
         r = value * pow(y, -e, p) % p
         c = 0
-        for q, proj, digits, crt in parts:
+        for w, proj, digits, crt in parts:
             x, cq = pow(r, proj, p), 0
             for exp, hinv, qi in digits:
-                j = indexOf(islice(mu, 0, None, e // q), pow(x, exp, p))
+                # z is a q-th root of 1 (value has e-th roots), so w^j reaches it
+                z, wj, j = pow(x, exp, p), 1, 0
+                while wj != z:
+                    wj, j = wj * w % p, j + 1
                 if j:
                     x = x * pow(hinv, j, p) % p
                     cq += j * qi
             c += cq * crt
         y = y * pow(h, c, p) % p
-        roots = [y * z % p for z in mu]
+        roots = [y]
+        for _ in range(e - 1):
+            roots.append(roots[-1] * zeta % p)
         if n > 1:  # y*zeta^t passes when a*b^t = 1
-            zeta = mu[1] if e > 1 else 1
             a, b = pow(y, (p - 1) // n, p), pow(zeta, (p - 1) // n, p)
             kept = []
             for v in roots:

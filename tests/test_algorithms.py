@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from powerprobe import ff_core
+from powerprobe import algorithms, ff_core
 from powerprobe.algorithms import (AlgorithmError, AmbiguousCandidatesError,
                                    DishonestOracleError,
                                    InconsistentOracleError, NoValidMError,
@@ -21,13 +21,13 @@ from powerprobe.algorithms import (AlgorithmError, AmbiguousCandidatesError,
                                    interpolate, naive_power_interpolate,
                                    regime_condition_holds, step1_collect,
                                    step2_candidates, step3_filter)
-from powerprobe.algorithms import CHAIN_TABLE_CAP, _chain_solve, _pencil_walk
+from powerprobe.algorithms import CHAIN_TABLE_CAP, _chain_solve, _newton_monic, _pencil_walk
 from powerprobe.ff_core import (BudgetExceededError, DomainError,
                                 PrimeFieldCtx, iroot, is_prime)
 from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
                                PowerOracle, ReplayOracle, gen_instance,
                                make_oracle)
-from powerprobe.poly_algebra import Poly
+from powerprobe.poly_algebra import Poly, lagrange_interpolate
 
 
 def window_brute(p, e, d, c1=Fraction(1)):
@@ -555,6 +555,44 @@ class TestStep2:
         cand = step2_candidates(group, d, p)
         assert {q.coeffs for q in cand.polys} == got
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([7, 13, 101, 65537, (1 << 61) - 1]), st.integers(1, 6), st.data())
+    def test_newton_readout_equals_lagrange(self, p, d, data):
+        # F_0..F_d at x0 + jh: the monic interpolant, or None when the
+        # values fit a degree below d
+        assume(d + 1 < p)
+        h = data.draw(st.integers(1, (p - 1) // (d + 1)))
+        x0 = data.draw(st.integers(0, p - 1 - d * h))
+        if data.draw(st.booleans()):  # values of a polynomial of lower degree
+            g = Poly(p, data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=d)))
+            F = [g(x0 + j * h) for j in range(d + 1)]
+        else:
+            F = data.draw(st.lists(st.integers(0, p - 1), min_size=d + 1, max_size=d + 1))
+        full = lagrange_interpolate(p, [(x0 + j * h, v) for j, v in enumerate(F)])
+        if full.degree < d:
+            assert _newton_monic(F, x0, h, p) is None
+        else:
+            lead = pow(full.coeffs[-1], -1, p)
+            assert _newton_monic(F, x0, h, p) == tuple(c * lead % p for c in full.coeffs)
+
+    def test_chain_of_lower_degree_ratios(self):
+        # ratios of g of degree below d: the root choice that follows g
+        # meets every difference equation, yet its d-th difference is zero,
+        # so it gives no candidate; the rest are those of brute force
+        for p, e, d, g, x0, h in ((31, 3, 2, [5, 1], 3, 2), (31, 5, 3, [3, 7, 1], 1, 3),
+                                  (31, 2, 3, [4, 1], 0, 1), (13, 3, 2, [3], 2, 1)):
+            g = Poly(p, g)
+            ratios = [pow(g(x0 + k * h) * pow(g(x0 + (k + 1) * h), -1, p), e, p)
+                      for k in range(2 * d)]
+            group = PairGroup(h, e, tuple(Pair(x0 + k * h, a) for k, a in enumerate(ratios)))
+            readouts = []
+            real = algorithms._newton_monic
+            with mock.patch.object(algorithms, "_newton_monic",
+                                   lambda *a: readouts.append(real(*a)) or readouts[-1]):
+                got = _chain_solve(group, d, p, RankLog(), 10 ** 12)
+            assert None in readouts
+            assert got == {q.coeffs for q in brute_group_consistent(group, d, p)}
+
     def test_chain_keeps_every_root_when_alpha_vanishes(self):
         # e = p - 1: every pair admits all of F_7^*, so every monic quadratic
         # with no root at x = 0..4 is a candidate, and none of the 24 may be
@@ -782,6 +820,17 @@ class TestInterpolate:
         assert res.survivors >= 1
         assert calls.count(p) == 1
 
+    def test_primality_computed_once_per_process(self):
+        # the instance, the oracle and step 2's context all check p; the
+        # test runs once, and a second recovery at p runs none
+        p = 1000033
+        ff_core.is_prime.cache_clear()
+        spec = gen_instance(p, 3, 2, seed=1, require_square_free=True)
+        assert interpolate(make_oracle(spec), 2).poly == spec.f
+        assert ff_core.is_prime.cache_info().misses == 1
+        assert interpolate(make_oracle(spec), 2).poly == spec.f
+        assert ff_core.is_prime.cache_info().misses == 1
+
     def test_exponential_walk_hits_budget(self, monkeypatch):
         # e = 2, d = 40 has 2^39 root paths; n = 2 makes the group no chain,
         # so nothing is charged before step 1 and the basis walk must stop
@@ -976,6 +1025,17 @@ class TestNaive:
             o2 = CachingOracle(make_oracle(spec))
             assert interpolate(o1, 2).poly == naive_power_interpolate(o2, 2)
             assert o2.query_count == 2 * 2 + 1  # d*e + 1 points
+
+    def test_charged_before_the_first_query(self, monkeypatch):
+        # (d*e + 1)^2 = 25 at (101, 2, 2): one below it is refused unasked
+        spec = gen_instance(101, 2, 2, seed=1, require_square_free=True)
+        monkeypatch.setenv("POWERPROBE_BUDGET", "24")
+        oracle = CachingOracle(make_oracle(spec))
+        with pytest.raises(BudgetExceededError):
+            naive_power_interpolate(oracle, 2)
+        assert oracle.query_count == 0
+        monkeypatch.setenv("POWERPROBE_BUDGET", "25")
+        assert naive_power_interpolate(oracle, 2) == spec.f
 
     def test_rejects_bad_degree_data(self):
         # oracle for degree-3 f read as degree-2 job: d*e+1 points disagree

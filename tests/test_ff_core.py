@@ -1,14 +1,26 @@
 """Field context, subgroups, and root extraction."""
 
+import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from powerprobe import ff_core
 from powerprobe.ff_core import (MAX_MODULUS, BudgetExceededError, DomainError,
                                 PrimeFieldCtx, factorize, find_primitive_root,
                                 iroot, is_prime)
+
+
+@pytest.fixture
+def plans():
+    # the process-wide plan cache, emptied so that plans built by earlier
+    # tests decide nothing; yields its cache_info
+    ff_core._root_plan.cache_clear()
+    yield ff_core._root_plan.cache_info
+    ff_core._root_plan.cache_clear()
 
 
 def brute_roots(p, value, e, n=1):
@@ -183,13 +195,13 @@ class TestSubgroups:
             assert len(sub) == e and sub == tuple(sorted(sub))
             assert all(pow(x, e, p) == 1 for x in sub)
 
-    def test_huge_order_refused(self):
+    def test_huge_order_refused(self, plans):
         # mu_order would hold 1,164,127,965 elements: refused before a walk
         p, e = (1 << 61) - 1, 1164127965
         ctx = PrimeFieldCtx(p)
         with pytest.raises(BudgetExceededError):
             ctx.subgroup_elements(e)
-        assert ctx._plans == {}
+        assert plans().misses == 0
 
 
 class TestExtractRoots:
@@ -238,14 +250,15 @@ class TestExtractRoots:
         with pytest.raises(DomainError):
             ctx.extract_roots(8, 3, index_multiple=5)
 
-    def test_root_walk_charged_against_budget(self, monkeypatch):
+    def test_root_walk_charged_against_budget(self, monkeypatch, plans):
         ctx = PrimeFieldCtx(13)
         monkeypatch.setenv("POWERPROBE_BUDGET", "2")
         with pytest.raises(BudgetExceededError):
             ctx.extract_roots(8, 3)
         assert ctx.extract_roots(2, 3) == ()  # no roots to walk
+        assert plans().misses == 0  # the refused e got no root plan
         assert ctx.extract_roots(4, 2) == (2, 11)
-        assert 3 not in ctx._plans  # the refused e got no root plan
+        assert plans().misses == 1
 
     def test_budget_follows_the_environment(self, monkeypatch):
         # each value is parsed once, yet every call sees the current one
@@ -260,14 +273,39 @@ class TestExtractRoots:
         monkeypatch.delenv("POWERPROBE_BUDGET")
         assert ctx.extract_roots(8, 3) == (2, 5, 6)
 
-    def test_huge_e_refused_before_its_plan(self):
+    def test_huge_e_refused_before_its_plan(self, plans):
         # mu_e would hold 1,164,127,965 elements: the charge refuses at once
         p, e = (1 << 61) - 1, 1164127965
         assert (p - 1) % e == 0
         ctx = PrimeFieldCtx(p)
         with pytest.raises(BudgetExceededError):
             ctx.extract_roots(pow(3, e, p), e)
-        assert ctx._plans == {}
+        assert plans().misses == 0
+
+    def test_contexts_at_one_p_share_one_plan(self, plans):
+        p = 1000003
+        assert PrimeFieldCtx(p).extract_roots(pow(5, 3, p), 3) == \
+            PrimeFieldCtx(p).extract_roots(pow(5, 3, p), 3)
+        PrimeFieldCtx(p).subgroup_elements(3)
+        assert (plans().misses, plans().hits) == (1, 2)
+
+    def test_plan_holds_no_e_sized_list(self, plans):
+        # at p = 4 * 100003^2 + 1 a list of the e roots of 1 would take
+        # megabytes; the kept plan is O(log p) ints
+        p, e = 40002400037, 100003
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            roots = PrimeFieldCtx(p).extract_roots(pow(3, e, p), e)
+            assert len(roots) == e
+            del roots
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert plans().currsize == 1
+        assert kept < 64 * 1024
 
     def test_index_normalization_for_one(self):
         # ind 1 = p - 1, so the trivial filter keeps 1 exactly when n | p - 1
