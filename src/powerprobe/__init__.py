@@ -3,7 +3,7 @@
 from .ff_core import (BudgetExceededError, DomainError, PrimeFieldCtx,
                       factorize, find_primitive_root, iroot, is_prime)
 from .poly_algebra import (BiPoly, DegenerateResultantError, Poly, RationalFn,
-                           divisible_by_torsion, is_square_free, lagrange_basis,
+                           divisible_by_torsion, is_square_free,
                            lagrange_interpolate, perfect_power_decompose,
                            poly_gcd, poly_power_root, resultant_shifted,
                            square_free_decomposition, sylvester_resultant)

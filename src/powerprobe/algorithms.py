@@ -12,6 +12,10 @@ only two or more such candidates are told apart by an identity scan.
 `interpolate` checks the winner against every answer it received, so a
 dishonest oracle gets a typed error or a consistent f.
 
+With n = 1, step 1 first asks x = 0..k, k the fewest pairs k >= d + 1 with
+e^k < p^(k-d), at most 2d (`_chain_pairs`), and asks the rest of x = 0..2d
+only when an answer there is zero or a ratio fails the index test.
+
 Step 2 extracts roots only for the pairs it enumerates, after its charge
 against the operation budget (BudgetExceededError).  A chain of pairs at
 x_0, x_0 + h, ... is solved in value space by meet-in-the-middle over the
@@ -204,8 +208,29 @@ class Step1Result:
     groups: tuple[PairGroup, ...]
 
 
+def _chain_pairs(p: int, e: int, d: int) -> int:
+    """Pairs k of step 1's short chain: the fewest k >= d + 1 with
+    e^k < p^(k-d), and never more than 2d.
+
+    Pairs 0..d fix the chain solve's candidates; each further pair keeps a
+    wrong chain with chance about e/p, so about e^k / p^(k-d) wrong chains
+    are left after k pairs, below one at this k.
+    """
+    k = d + 1
+    while k < 2 * d and e ** k >= p ** (k - d):
+        k += 1
+    return k
+
+
 def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
-    """Query x = 0..(2d-1)n^2+n and assemble shifted pairs with their ratios.
+    """Query x = 0..k (n = 1) or x = 0..(2d-1)n^2+n and assemble shifted
+    pairs with their ratios.
+
+    With n = 1, x = 0..k is asked first, k = `_chain_pairs(p, e, d)`, which
+    depends on (p, e, d) only.  When no answer there is zero and every ratio
+    passes the index test below, the k pairs (x, x+1) form the one group and
+    range_top is k.  Otherwise the rest of x = 0..(2d-1)n^2+n is asked and
+    the pairs are picked as follows.
 
     Zero answers are roots of the hidden polynomial; they are divided out and
     the pair search runs at the reduced degree over the same window.  Blocks
@@ -226,7 +251,18 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
         raise DomainError("query range must fit below p")
     if p >= MAX_MODULUS:  # step 2's PrimeFieldCtx refuses it: refuse before any query
         raise DomainError("modulus must be below 2^62")
-    answers = {x: oracle.query(x) for x in range(top + 1)}
+    index = (p - 1) // gcd(n * e, p - 1)
+    answers: dict[int, int] = {}
+    if n == 1:  # a short chain, unless f has a root on it
+        k = _chain_pairs(p, e, d)
+        answers = {x: oracle.query(x) for x in range(k + 1)}
+        if all(answers.values()):
+            ratios = [answers[x] * pow(answers[x + 1], -1, p) % p for x in range(k)]
+            if all(pow(r, index, p) == 1 for r in ratios):
+                return Step1Result(1, k, (), d, Poly.one(p), answers,
+                                   (PairGroup(1, e, tuple(map(Pair, range(k), ratios))),))
+    for x in range(len(answers), top + 1):
+        answers[x] = oracle.query(x)
     zeros = tuple(sorted(x for x, a in answers.items() if a == 0))
     if len(zeros) > d:
         raise DishonestOracleError("more zero answers than the degree allows")
@@ -236,7 +272,7 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
     if d_rem == 0:
         return Step1Result(n, top, zeros, 0, known, adjusted, ())
 
-    need, index = 2 * d_rem, (p - 1) // gcd(n * e, p - 1)
+    need = 2 * d_rem
     for h in range(1, n + 1):
         pairs: list[Pair] = []
         for i in range((2 * d - 1) * n + 1):
@@ -533,11 +569,14 @@ def step2_candidates(group: PairGroup, d: int, p: int,
     about e^(d-1) nodes.  Roots are extracted only here, for the pairs that
     a solve enumerates.
 
-    A step-1 group fixes every f it admits, so no f is lost there: its 2d
-    pairs sit at distinct x.  If g != 0 of degree < d had the same ratios as
-    f at all of them, g(x)f(x+h) - g(x+h)f(x), of degree <= 2d-1, would
-    vanish at 2d points.  Then g/f would be h-periodic, hence constant
-    (d < p), hence g = 0.  A group of fewer pairs may leave some f unfixed.
+    A step-1 group fixes every f it admits, so no f is lost there.  A chain
+    of k >= d + 1 pairs fixes f(x_0 + jh), j = 0..k, up to one scale, and a
+    monic f of degree d is fixed by d + 1 of its values up to that scale.
+    Any other group has 2d pairs at distinct x.  If g != 0 of degree < d had
+    the same ratios as f at all of them, g(x)f(x+h) - g(x+h)f(x), of degree
+    <= 2d-1, would vanish at 2d points.  Then g/f would be h-periodic, hence
+    constant (d < p), hence g = 0.  A group of fewer pairs may leave some f
+    unfixed.
 
     A chain is charged (e^m + e^(d+1-m))(d+1), m = (d+1)//2, before its
     first root, and refused when its table of e^m entries, held in memory,
@@ -649,9 +688,11 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
 
     Queries are deduplicated internally, so the reported query count is the
     number of distinct points sent to the underlying oracle: step 1's
-    x = 0..(2d-1)n^2+n and step 3's x = 0..d(m-1)+1, so max(2d, d(m-1)+1) + 1
-    points for n = 1, plus x = 1..min(H, d*e + 1) only when two or more
-    candidates match step 3's points.  The winner is checked against every
+    x = 0..(2d-1)n^2+n, or with n = 1 only x = 0..k when f has no root there
+    (k >= d + 1 the fewest pairs with e^k < p^(k-d), at most 2d), and step
+    3's x = 0..d(m-1)+1, so max(k, d(m-1)+1) + 1 points for n = 1 and no
+    such root, plus x = 1..min(H, d*e + 1) only when two or more candidates
+    match step 3's points.  The winner is checked against every
     answer received, so any oracle gets a typed error or a monic f whose e-th
     powers match all of them.  e = 1 takes the naive route; a NoValidMError
     comes before the first query, and so, with n = 1, does the charge of

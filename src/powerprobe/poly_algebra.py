@@ -237,11 +237,6 @@ def _lagrange_rows(xs, p):
     return [_scale(_synth_div(m, x, p), pow(_eval(dm, x, p), -1, p), p) for x in xs]
 
 
-def lagrange_basis(p: int, xs) -> list[Poly]:
-    """Basis polynomials L_i with L_i(x_j) = [i = j] for distinct nodes xs."""
-    return [Poly(p, row) for row in _lagrange_rows([x % p for x in xs], p)]
-
-
 def _combine(rows, ys, p):
     # coefficients of sum y_i L_i, padded to len(rows)
     acc = [0] * len(rows)

@@ -21,7 +21,8 @@ from powerprobe.algorithms import (AlgorithmError, AmbiguousCandidatesError,
                                    interpolate, naive_power_interpolate,
                                    regime_condition_holds, step1_collect,
                                    step2_candidates, step3_filter)
-from powerprobe.algorithms import CHAIN_TABLE_CAP, _chain_solve, _newton_monic, _pencil_walk
+from powerprobe.algorithms import (CHAIN_TABLE_CAP, _chain_pairs, _chain_solve, _newton_monic,
+                                   _pencil_walk)
 from powerprobe.ff_core import (BudgetExceededError, DomainError,
                                 PrimeFieldCtx, iroot, is_prime)
 from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
@@ -223,7 +224,7 @@ class TestStep1:
     def test_no_zero_structure(self):
         spec = gen_instance(101, 5, 2, seed=7, require_square_free=True)
         s1 = step1_collect(CachingOracle(make_oracle(spec)), 2)
-        assert s1.range_top == 4  # (2d-1)n^2 + n for d=2, n=1
+        assert s1.range_top == 4  # k = 2d: 5^3 >= 101
         assert s1.zeros == ()
         assert s1.d_rem == 2
         assert s1.known_factor == Poly.one(101)
@@ -237,6 +238,68 @@ class TestStep1:
             ratio = spec.f(pair.x) * pow(spec.f(pair.x + 1), -1, 101) % 101
             assert pow(ratio, 5, 101) == pair.ratio
             assert ratio in PrimeFieldCtx(101).extract_roots(pair.ratio, 5)
+
+    def test_chain_pairs_rule(self):
+        # the fewest k >= d + 1 with e^k < p^(k-d), at most 2d
+        assert _chain_pairs(1009, 16, 3) == 6  # 16^5 >= 1009^2: k = 2d
+        assert _chain_pairs(1009, 4, 4) == 6   # 4^5 >= 1009
+        assert _chain_pairs(65537, 4, 4) == 5
+        assert _chain_pairs((1 << 61) - 1, 231, 3) == 4
+        for p, e in ((13, 3), (65537, 4), ((1 << 61) - 1, 231)):
+            assert _chain_pairs(p, e, 1) == 2
+        for p, e, d in itertools.product((13, 101, 1009, 65537), (2, 3, 4, 16), (1, 2, 3, 4)):
+            want = next((k for k in range(d + 1, 2 * d) if e ** k < p ** (k - d)), 2 * d)
+            assert _chain_pairs(p, e, d) == want
+
+    @pytest.mark.parametrize("p, e, d", [(65537, 4, 4), (1009, 3, 3), ((1 << 61) - 1, 231, 2)])
+    def test_short_chain_asks_x_0_to_k(self, p, e, d):
+        # no root of f among x = 0..k: the chain of k pairs (x, x+1) is the
+        # group, and no point past k is asked
+        k = _chain_pairs(p, e, d)
+        assert k < 2 * d
+        spec = next(s for s in (gen_instance(p, e, d, seed) for seed in itertools.count())
+                    if all(s.f(x) for x in range(k + 1)))
+        inner = make_oracle(spec)
+        s1 = step1_collect(CachingOracle(inner), d)
+        assert [x for x, _ in inner.transcript] == list(range(k + 1))
+        assert (s1.range_top, s1.zeros, s1.d_rem) == (k, (), d)
+        group, = s1.groups
+        assert group.h == 1 and [pr.x for pr in group.pairs] == list(range(k))
+        assert spec.f in step2_candidates(group, d, p).polys
+
+    @pytest.mark.parametrize("root", [0, 2, 4])
+    def test_root_on_the_short_chain_asks_the_full_window(self, root):
+        # a zero answer among x = 0..k sends step 1 on to x = 0..2d, and the
+        # result is that of a step 1 whose first window is already x = 0..2d
+        p, e, d = 65537, 4, 4
+        k = _chain_pairs(p, e, d)
+        assert root <= k < 2 * d
+        f = gen_instance(p, e, d - 1, seed=root).f * Poly(p, [-root, 1])
+        inner = LocalPowerOracle(p, e, f)
+        s1 = step1_collect(CachingOracle(inner), d)
+        assert [x for x, _ in inner.transcript] == list(range(2 * d + 1))
+        assert (s1.range_top, s1.zeros) == (2 * d, (root,))
+        res = interpolate(CachingOracle(LocalPowerOracle(p, e, f)), d)
+        with mock.patch.object(algorithms, "_chain_pairs", lambda p, e, d: 2 * d):
+            full = step1_collect(CachingOracle(LocalPowerOracle(p, e, f)), d)
+            want = interpolate(CachingOracle(LocalPowerOracle(p, e, f)), d)
+        assert s1 == full
+        assert res.poly == want.poly == f
+        assert (res.query_count, res.query_budget, res.candidates) == \
+            (want.query_count, want.query_budget, want.candidates)
+
+    def test_non_power_on_the_short_chain_asks_the_full_window(self):
+        # the answer at x = 1 is no 4th power: its ratios fail the index
+        # test, step 1 asks the rest of x = 0..2d, and blocks 0 and 1 lack a
+        # pair, so no shift has 2d of them
+        p, e, d = 65537, 4, 4
+        f = gen_instance(p, e, d, seed=1).f
+        answers = {x: pow(f(x), e, p) for x in range(2 * d + 1)}
+        answers[1] = 3  # 3 is a primitive root mod 65537
+        inner = ReplayOracle(p, e, answers)
+        with pytest.raises(DishonestOracleError, match="no shift"):
+            step1_collect(CachingOracle(inner), d)
+        assert [x for x, _ in inner.transcript] == list(range(2 * d + 1))
 
     def test_zero_peeling_adjusts_answers(self):
         p, e = 101, 5
@@ -472,6 +535,21 @@ class TestStep2:
                                     key=lambda q: q.coeffs)
         assert cand.rank.violations == 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_short_chain_equals_brute_at_small_p(self, data):
+        # step 1's chain of k < 2d pairs at p <= 31, n = 1: the candidates of
+        # its pairs are all the monic degree-d f that they admit
+        p, e, d = data.draw(st.sampled_from(
+            [(q, k, j) for q in range(5, 32) if is_prime(q) for k in range(2, q)
+             if (q - 1) % k == 0 for j in (2, 3) if 2 * j < q and _chain_pairs(q, k, j) < 2 * j]))
+        s1 = small_step1(p, e, d, 1, None, data.draw(st.integers(0, 10 ** 6)))
+        assume(s1 is not None and s1.range_top < 2 * d)
+        group, = s1.groups
+        assert len(group.pairs) == s1.range_top == _chain_pairs(p, e, d)
+        cand = step2_candidates(group, d, p)
+        assert cand.polys == sorted(brute_group_consistent(group, d, p), key=lambda q: q.coeffs)
+
     def test_draws_include_non_chain_groups(self):
         # the draws of test_equals_brute_at_small_p reach the basis walk: a
         # root inside the window, or n > 1, leaves groups that are not chains
@@ -500,7 +578,7 @@ class TestStep2:
         d = data.draw(st.integers(1, d_max).filter(lambda k: e ** k <= 2 * 10 ** 4 and 2 * k < p))
         spec = gen_instance(p, e, d, seed=data.draw(st.integers(0, 10 ** 6)))
         s1 = step1_collect(CachingOracle(make_oracle(spec)), d)
-        assume(s1.groups and is_chain(s1.groups[0]))  # else f has a root at x <= 2d
+        assume(s1.groups and is_chain(s1.groups[0]))  # else f has a root at x <= k
         group, = s1.groups
         d_rem, m = s1.d_rem, (s1.d_rem + 1) // 2
         chain = RankLog()
@@ -755,11 +833,12 @@ class TestInterpolate:
 
     def test_paper_scale_chain_recovers_from_2d_plus_1_queries(self):
         # at e = 231, d = 3 the chain solve meets a table of e^2 entries
-        # with e^2 probe keys, not e^3 walk leaves
+        # with e^2 probe keys, not e^3 walk leaves; step 1's chain has
+        # k = d + 1 = 4 pairs (231^4 < p), so x = 0..4 are all the queries
         spec = gen_instance((1 << 61) - 1, 231, 3, seed=1)
         res = interpolate(CachingOracle(make_oracle(spec)), 3)
         assert res.poly == spec.f
-        assert res.query_count == 7
+        assert res.query_count == 5
 
     @pytest.mark.parametrize("e, d", [(465465, 2), (231, 5)])
     def test_paper_scale_refusal_comes_before_any_query(self, e, d):
@@ -858,18 +937,21 @@ class TestInterpolate:
 
     @pytest.mark.parametrize("p, e, d, seed", [(101, 5, 2, 3), (1009, 3, 3, 1),
                                                ((1 << 61) - 1, 231, 2, 1)])
-    def test_sole_filter_survivor_costs_2d_plus_1_queries(self, p, e, d, seed):
-        # n = 1, m = 1 and no root of f among x = 0..2d: step 2's candidates
-        # hold f, so the one that alone matches x = 0, 1 is f, and step 3
-        # queries no point past step 1's
+    def test_sole_filter_survivor_costs_k_plus_1_queries(self, p, e, d, seed):
+        # n = 1, m = 1 and no root of f among step 1's x = 0..k: step 2's
+        # candidates hold f, so the one that alone matches x = 0, 1 is f, and
+        # step 3 queries no point past step 1's.  k = 2d at (101, 5, 2),
+        # d + 1 at the other two
+        k = {(101, 5, 2): 4, (1009, 3, 3): 4, ((1 << 61) - 1, 231, 2): 3}[p, e, d]
+        assert _chain_pairs(p, e, d) == k
         spec = gen_instance(p, e, d, seed, require_square_free=True)
-        assert all(spec.f(x) for x in range(2 * d + 1))
+        assert all(spec.f(x) for x in range(k + 1))
         inner = make_oracle(spec)
         res = interpolate(CachingOracle(inner), d)
         assert res.poly == spec.f
         assert (res.m, res.survivors) == (1, 1)
-        assert [x for x, _ in inner.transcript] == list(range(2 * d + 1))
-        assert res.query_count == 2 * d + 1
+        assert [x for x, _ in inner.transcript] == list(range(k + 1))
+        assert res.query_count == k + 1
 
     def test_two_filter_survivors_scan_the_window(self):
         # two candidates match x = 0, 1 here; the scan of x = 1..d*e + 1

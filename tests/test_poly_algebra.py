@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from powerprobe.ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, is_prime
 from powerprobe.poly_algebra import (BiPoly, DegenerateResultantError, Poly,
                                      RationalFn, _general_roots,
-                                     divisible_by_torsion,
-                                     is_square_free, lagrange_basis,
-                                     lagrange_interpolate,
+                                     _lagrange_rows, divisible_by_torsion,
+                                     is_square_free, lagrange_interpolate,
                                      perfect_power_decompose, poly_gcd,
                                      poly_power_root, resultant_shifted,
                                      square_free_decomposition,
@@ -176,7 +175,7 @@ class TestLagrange:
     def test_frozen_examples(self):
         assert lagrange_interpolate(13, [(0, 1), (1, 2)]).coeffs == (1, 1)
         assert lagrange_interpolate(13, [(0, 0), (1, 1), (2, 4)]).coeffs == (0, 0, 1)
-        assert lagrange_basis(13, [0, 1])[0].coeffs == (1, 12)
+        assert _lagrange_rows([0, 1], 13) == [[1, 12], [0, 1]]  # 1 - X and X
 
     def test_round_trip(self):
         rng = random.Random(8)
@@ -189,16 +188,15 @@ class TestLagrange:
 
     def test_basis_delta_property(self):
         xs = [2, 3, 7, 11]
-        basis = lagrange_basis(13, xs)
-        for i, L in enumerate(basis):
+        for i, row in enumerate(_lagrange_rows(xs, 13)):
             for j, x in enumerate(xs):
-                assert L(x) == (1 if i == j else 0)
+                assert Poly(13, row)(x) == (1 if i == j else 0)
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(DomainError):
             lagrange_interpolate(13, [(1, 1), (1, 2)])
         with pytest.raises(DomainError):
-            lagrange_basis(13, [3, 3])
+            _lagrange_rows([3, 3], 13)
 
 
 class TestSquareFree:
