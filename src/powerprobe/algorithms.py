@@ -38,7 +38,7 @@ from operator import mul
 from .ff_core import (MAX_MODULUS, BudgetExceededError, DomainError, PrimeFieldCtx, _budget,
                       _charge, iroot)
 from .oracle import CachingOracle, PowerOracle
-from .poly_algebra import Poly, is_square_free, lagrange_interpolate, poly_power_root
+from .poly_algebra import Poly, _eval, is_square_free, lagrange_interpolate, poly_power_root
 
 
 # most entries of the chain solve's table, whatever the operation budget: an
@@ -137,16 +137,21 @@ class IdentityVerdict:
     different: bool
     witness: int | None
     queries: int
-    window: WindowParams
 
     @property
     def name(self) -> str:
         return "different" if self.different else "indistinguishable_on_window"
 
 
-def _scan_end(window: WindowParams, e: int) -> int:
+def _scan_end(window: WindowParams, p: int, e: int) -> int:
+    """Last point T = min(H, d*e + 1) of an identity scan on x = 1..T, after
+    charging its 2T(d+1) field operations against the operation budget."""
+    if window.H >= p:
+        raise DomainError("window exceeds the field")
     # powers of degree <= d*e that agree on d*e + 1 points are equal
-    return min(window.H, window.d * e + 1)
+    end = min(window.H, window.d * e + 1)
+    _charge(2 * end * (window.d + 1))
+    return end
 
 
 def identity_test(oracle_f: PowerOracle, oracle_g: PowerOracle,
@@ -168,14 +173,11 @@ def identity_test(oracle_f: PowerOracle, oracle_g: PowerOracle,
     """
     if oracle_f.p != oracle_g.p or oracle_f.e != oracle_g.e:
         raise DomainError("oracles must share p and e")
-    if window.H >= oracle_f.p:
-        raise DomainError("window exceeds the field")
-    end = _scan_end(window, oracle_f.e)
-    _charge(2 * end * (window.d + 1))
+    end = _scan_end(window, oracle_f.p, oracle_f.e)
     for x in range(1, end + 1):
         if oracle_f.query(x) != oracle_g.query(x):
-            return IdentityVerdict(True, x, 2 * x, window)
-    return IdentityVerdict(False, None, 2 * end, window)
+            return IdentityVerdict(True, x, 2 * x)
+    return IdentityVerdict(False, None, 2 * end)
 
 
 # ---------- interpolation: step 1 ----------
@@ -199,12 +201,10 @@ class PairGroup:
 
 @dataclass
 class Step1Result:
-    n: int
     range_top: int
     zeros: tuple[int, ...]
     d_rem: int
     known_factor: Poly
-    adjusted: dict
     groups: tuple[PairGroup, ...]
 
 
@@ -223,23 +223,24 @@ def _chain_pairs(p: int, e: int, d: int) -> int:
 
 
 def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
-    """Query x = 0..k (n = 1) or x = 0..(2d-1)n^2+n and assemble shifted
-    pairs with their ratios.
+    """Query x = 0..k, then x = 0..(2d-1)n^2+n, and assemble shifted pairs
+    with their ratios.
 
-    With n = 1, x = 0..k is asked first, k = `_chain_pairs(p, e, d)`, which
-    depends on (p, e, d) only.  When no answer there is zero and every ratio
-    passes the index test below, the k pairs (x, x+1) form the one group and
-    range_top is k.  Otherwise the rest of x = 0..(2d-1)n^2+n is asked and
-    the pairs are picked as follows.
+    One search runs over the window x = 0..k, k = `_chain_pairs(p, e, d)`
+    with n = 1 (it depends on (p, e, d) only), and then over
+    x = 0..(2d-1)n^2+n, the only window when n > 1 or k = 2d.  The first
+    window is widened when an answer there is zero or the search finds no
+    group; range_top is the window's last point.
 
     Zero answers are roots of the hidden polynomial; they are divided out and
-    the pair search runs at the reduced degree over the same window.  Blocks
-    [i n, (i+1) n] for i = 0..(2d-1)n are scanned, for the shifts h = 1..n in
-    turn, for the first pair (x, x+h) whose adjusted answer ratio A has an
-    e-th root y with y^((p-1)/n) = 1, that is A^((p-1)/gcd(n e, p-1)) = 1.
-    That pair keeps its ratio A, whose e-th roots include the true ratio
-    f(x)/f(x+h); no root is extracted here.  The first shift with 2*d_rem
-    such blocks gives the one group.
+    the search runs at the reduced degree.  The window's blocks [i n, (i+1) n]
+    are scanned, for the shifts h = 1..n in turn, for the first pair (x, x+h)
+    whose adjusted answer ratio A has an e-th root y with y^((p-1)/n) = 1,
+    that is A^((p-1)/gcd(n e, p-1)) = 1.  That pair keeps its ratio A, whose
+    e-th roots include the true ratio f(x)/f(x+h); no root is extracted
+    here.  The first shift with min(2*d_rem, blocks) such blocks gives the
+    one group: on x = 0..k, every one of the k blocks, so the chain of pairs
+    (x, x+1) for x < k.
     """
     p, e = oracle.p, oracle.e
     if d < 1:
@@ -253,39 +254,34 @@ def step1_collect(oracle: PowerOracle, d: int, n: int = 1) -> Step1Result:
         raise DomainError("modulus must be below 2^62")
     index = (p - 1) // gcd(n * e, p - 1)
     answers: dict[int, int] = {}
-    if n == 1:  # a short chain, unless f has a root on it
-        k = _chain_pairs(p, e, d)
-        answers = {x: oracle.query(x) for x in range(k + 1)}
-        if all(answers.values()):
-            ratios = [answers[x] * pow(answers[x + 1], -1, p) % p for x in range(k)]
-            if all(pow(r, index, p) == 1 for r in ratios):
-                return Step1Result(1, k, (), d, Poly.one(p), answers,
-                                   (PairGroup(1, e, tuple(map(Pair, range(k), ratios))),))
-    for x in range(len(answers), top + 1):
-        answers[x] = oracle.query(x)
-    zeros = tuple(sorted(x for x, a in answers.items() if a == 0))
-    if len(zeros) > d:
-        raise DishonestOracleError("more zero answers than the degree allows")
-    d_rem = d - len(zeros)
-    known = Poly.from_roots(p, zeros)
-    adjusted = {x: a * pow(known(x), -e, p) % p for x, a in answers.items() if a}
-    if d_rem == 0:
-        return Step1Result(n, top, zeros, 0, known, adjusted, ())
-
-    need = 2 * d_rem
-    for h in range(1, n + 1):
-        pairs: list[Pair] = []
-        for i in range((2 * d - 1) * n + 1):
-            for x in range(i * n, (i + 1) * n - h + 1):
-                if x not in adjusted or x + h not in adjusted:
-                    continue
-                ratio = adjusted[x] * pow(adjusted[x + h], -1, p) % p
-                if pow(ratio, index, p) == 1:
-                    pairs.append(Pair(x, ratio))
-                    break
-            if len(pairs) == need:
-                return Step1Result(n, top, zeros, d_rem, known, adjusted,
-                                   (PairGroup(h, e, tuple(pairs)),))
+    for end in sorted({_chain_pairs(p, e, d) if n == 1 else top, top}):
+        for x in range(len(answers), end + 1):
+            answers[x] = oracle.query(x)
+        zeros = tuple(x for x, a in answers.items() if a == 0)
+        if zeros and end < top:  # f has a root on the short chain
+            continue
+        if len(zeros) > d:
+            raise DishonestOracleError("more zero answers than the degree allows")
+        d_rem = d - len(zeros)
+        known = Poly.from_roots(p, zeros)
+        adjusted = ({x: a * pow(known(x), -e, p) % p for x, a in answers.items() if a}
+                    if zeros else answers)
+        if d_rem == 0:
+            return Step1Result(end, zeros, 0, known, ())
+        need = min(2 * d_rem, end // n)
+        for h in range(1, n + 1):
+            pairs: list[Pair] = []
+            for i in range(end // n):
+                for x in range(i * n, (i + 1) * n - h + 1):
+                    if x not in adjusted or x + h not in adjusted:
+                        continue
+                    ratio = adjusted[x] * pow(adjusted[x + h], -1, p) % p
+                    if pow(ratio, index, p) == 1:
+                        pairs.append(Pair(x, ratio))
+                        break
+                if len(pairs) == need:
+                    return Step1Result(end, zeros, d_rem, known,
+                                       (PairGroup(h, e, tuple(pairs)),))
     raise DishonestOracleError("no shift has enough supported blocks")
 
 
@@ -551,8 +547,7 @@ def _pencil_walk(group, d, p, rank_log, limit):
             stack.append((idx + 1, basis))
     # a pair whose two points are both zeros of f holds for every root; the
     # hidden polynomial never vanishes at a pair point, so such f are dropped
-    polys = [Poly(p, c) for c in found]
-    return {f.coeffs for f in polys if all(f(pr.x + h) for pr in group.pairs)}
+    return {c for c in found if all(_eval(c, pr.x + h, p) for pr in group.pairs)}
 
 
 def step2_candidates(group: PairGroup, d: int, p: int,
@@ -645,10 +640,7 @@ def step3_filter(candidates: list[Poly], oracle: PowerOracle, d: int,
                        after_value_filter=len(stage1), survivors=stage2,
                        winners=stage2)
     if len(stage1) > 1 and stage2:
-        if window.H >= p:
-            raise DomainError("window exceeds the field")
-        stats.scan_end = end = _scan_end(window, e)
-        _charge(2 * end * (window.d + 1))
+        stats.scan_end = end = _scan_end(window, p, e)
         stats.winners = [g for g in stage2 if all(pow(g(x), e, p) == oracle.query(x)
                                                   for x in range(1, end + 1))]
     if len(stats.winners) == 1:

@@ -229,17 +229,17 @@ def _synth_div(c, x, p):
 
 
 def _lagrange_rows(xs, p):
-    # coefficients of each L_i = m / ((X - x_i) m'(x_i)), m = prod (X - x_j)
+    # coefficients of each L_i = m / ((X - x_i) m'(x_i)), m = prod (X - x_j), lazily
     if len(set(xs)) != len(xs):
         raise DomainError("interpolation nodes must be distinct")
     m = Poly.from_roots(p, xs).coeffs
     dm = [i * c % p for i, c in enumerate(m)][1:]
-    return [_scale(_synth_div(m, x, p), pow(_eval(dm, x, p), -1, p), p) for x in xs]
+    return (_scale(_synth_div(m, x, p), pow(_eval(dm, x, p), -1, p), p) for x in xs)
 
 
 def _combine(rows, ys, p):
-    # coefficients of sum y_i L_i, padded to len(rows)
-    acc = [0] * len(rows)
+    # coefficients of sum y_i L_i, padded to len(ys), adding each row as it comes
+    acc = [0] * len(ys)
     for y, row in zip(ys, rows):
         if y:
             for i, v in enumerate(row):
@@ -607,7 +607,7 @@ def resultant_shifted(f: Poly, g: Poly, a: int) -> BiPoly:
 
     fc, gc, fac, gac = padded(f), padded(g), padded(fa), padded(ga)
     nodes = list(range(d + 1))
-    basis = _lagrange_rows(nodes, p)  # built once, used 2(d + 1) times
+    basis = list(_lagrange_rows(nodes, p))  # built once, used 2(d + 1) times
     specs_v = [[(fac[k] - v * gac[k]) % p for k in range(d + 1)] for v in nodes]
     vals = []
     for u in nodes:

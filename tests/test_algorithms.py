@@ -289,29 +289,35 @@ class TestStep1:
             (want.query_count, want.query_budget, want.candidates)
 
     def test_non_power_on_the_short_chain_asks_the_full_window(self):
-        # the answer at x = 1 is no 4th power: its ratios fail the index
-        # test, step 1 asks the rest of x = 0..2d, and blocks 0 and 1 lack a
-        # pair, so no shift has 2d of them
-        p, e, d = 65537, 4, 4
-        f = gen_instance(p, e, d, seed=1).f
-        answers = {x: pow(f(x), e, p) for x in range(2 * d + 1)}
-        answers[1] = 3  # 3 is a primitive root mod 65537
-        inner = ReplayOracle(p, e, answers)
-        with pytest.raises(DishonestOracleError, match="no shift"):
-            step1_collect(CachingOracle(inner), d)
-        assert [x for x, _ in inner.transcript] == list(range(2 * d + 1))
+        # the answer g at x = 1, a primitive root mod p, is no e-th power:
+        # its ratios fail the index test, step 1 asks the rest of x = 0..2d
+        # (at (101, 5, 2), k = 2d, the chain is x = 0..2d, asked once), and
+        # blocks 0 and 1 lack a pair, so no shift has 2d of them
+        for p, e, d, g, k in ((65537, 4, 4, 3, 5), (101, 5, 2, 2, 4)):
+            assert _chain_pairs(p, e, d) == k
+            f = gen_instance(p, e, d, seed=1).f
+            answers = {x: pow(f(x), e, p) for x in range(2 * d + 1)}
+            answers[1] = g
+            inner = ReplayOracle(p, e, answers)
+            with pytest.raises(DishonestOracleError, match="no shift"):
+                step1_collect(inner, d)  # uncached: a point asked twice is logged twice
+            assert [x for x, _ in inner.transcript] == list(range(2 * d + 1))
 
     def test_zero_peeling_adjusts_answers(self):
         p, e = 101, 5
         f = Poly.from_roots(p, [3, 17])  # zero at 3 inside x = 0..4
-        oracle = CachingOracle(LocalPowerOracle(p, e, f))
-        s1 = step1_collect(oracle, 2)
+        inner = LocalPowerOracle(p, e, f)
+        s1 = step1_collect(CachingOracle(inner), 2)
         assert s1.zeros == (3,)
         assert s1.d_rem == 1
         assert s1.known_factor == Poly.from_roots(p, [3])
         rem = Poly.from_roots(p, [17])
-        for x, a in s1.adjusted.items():
-            assert a == pow(rem(x), e, p)
+        # answers with the known factor divided out are those of rem
+        adjusted = {x: a * pow(s1.known_factor(x), -e, p) % p for x, a in inner.transcript if a}
+        assert adjusted == {x: pow(rem(x), e, p) for x in range(5) if x != 3}
+        group, = s1.groups
+        for pair in group.pairs:  # ratios of adjusted answers
+            assert pair.ratio == adjusted[pair.x] * pow(adjusted[pair.x + group.h], -1, p) % p
 
     def test_all_roots_in_range_leaves_nothing(self):
         p, e = 101, 5
@@ -336,7 +342,6 @@ class TestStep1:
         # n=2 with e=3, p=31: n divides (p-1)/e fails (30/3=10, 2|10 ok: clean)
         spec = gen_instance(31, 3, 2, seed=5, require_square_free=True)
         s1 = step1_collect(CachingOracle(make_oracle(spec)), 2, n=2)
-        assert s1.n == 2
         assert s1.range_top == 14
         rem = spec.f // s1.known_factor  # pairs describe the unpeeled part
         found = False
@@ -355,10 +360,12 @@ class TestStep1:
         # e-th root of index divisible by n, found by extract_roots' filter
         for (p, e, d, n), seed in itertools.product(
                 [(31, 3, 2, 2), (31, 3, 2, 3), (1009, 3, 2, 9), (1009, 4, 2, 3)], range(4)):
-            s1 = step1_collect(CachingOracle(make_oracle(gen_instance(p, e, d, seed))), d, n=n)
+            inner = make_oracle(gen_instance(p, e, d, seed))
+            s1 = step1_collect(CachingOracle(inner), d, n=n)
             if not s1.d_rem:  # f splits in the window: no pairs
                 continue
-            ctx, adj, want = PrimeFieldCtx(p), s1.adjusted, None
+            adj = {x: a * pow(s1.known_factor(x), -e, p) % p for x, a in inner.transcript if a}
+            ctx, want = PrimeFieldCtx(p), None
             for h in range(1, n + 1):
                 xs = []
                 for i in range((2 * d - 1) * n + 1):

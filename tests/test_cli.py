@@ -542,3 +542,15 @@ class TestReadmeExamples:
         for data in (want, got):
             data.pop("wall_time_ms", None)
         assert got == want
+
+    def test_library_quick_start_runs(self):
+        # the python block under the README's "Library quick start" heading
+        # runs as written, and its asserts hold
+        with open(README) as fh:
+            section = fh.read().split("\n## Library quick start\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert "assert ctx.extract_roots(8, 3) == (2, 5, 6)" in code
+        assert "assert result.poly == spec.f" in code
+        ns: dict = {}
+        exec(compile(code, README, "exec"), ns)
+        assert ns["verdict"].different

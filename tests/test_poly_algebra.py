@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from powerprobe.ff_core import BudgetExceededError, DomainError, PrimeFieldCtx, is_prime
 from powerprobe.poly_algebra import (BiPoly, DegenerateResultantError, Poly,
                                      RationalFn, _general_roots,
-                                     _lagrange_rows, divisible_by_torsion,
+                                     _combine, _lagrange_rows, divisible_by_torsion,
                                      is_square_free, lagrange_interpolate,
                                      perfect_power_decompose, poly_gcd,
                                      poly_power_root, resultant_shifted,
@@ -175,7 +176,7 @@ class TestLagrange:
     def test_frozen_examples(self):
         assert lagrange_interpolate(13, [(0, 1), (1, 2)]).coeffs == (1, 1)
         assert lagrange_interpolate(13, [(0, 0), (1, 1), (2, 4)]).coeffs == (0, 0, 1)
-        assert _lagrange_rows([0, 1], 13) == [[1, 12], [0, 1]]  # 1 - X and X
+        assert list(_lagrange_rows([0, 1], 13)) == [[1, 12], [0, 1]]  # 1 - X and X
 
     def test_round_trip(self):
         rng = random.Random(8)
@@ -191,6 +192,22 @@ class TestLagrange:
         for i, row in enumerate(_lagrange_rows(xs, 13)):
             for j, x in enumerate(xs):
                 assert Poly(13, row)(x) == (1 if i == j else 0)
+
+    def test_rows_are_summed_as_they_are_built(self):
+        # n = 400 points: the n rows together hold n^2 ints (about 6.5 MB);
+        # added in one at a time they never coexist
+        p, n = 65537, 400
+        rng = random.Random(4)
+        ys = [rng.randrange(p) for _ in range(n)]
+        want = Poly(p, _combine(list(_lagrange_rows(range(n), p)), ys, p))
+        tracemalloc.start()
+        try:
+            got = lagrange_interpolate(p, list(enumerate(ys)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(DomainError):
