@@ -36,7 +36,7 @@ from math import comb, gcd
 from operator import mul
 
 from .ff_core import (MAX_MODULUS, BudgetExceededError, DomainError, PrimeFieldCtx, _budget,
-                      _charge, iroot)
+                      _charge, _count_text, iroot)
 from .oracle import CachingOracle, PowerOracle
 from .poly_algebra import Poly, _eval, is_square_free, lagrange_interpolate, poly_power_root
 
@@ -395,8 +395,8 @@ def _chain_cost(e, d):
     # is refused whatever the budget
     m = (d + 1) // 2
     if e ** m > CHAIN_TABLE_CAP:
-        raise BudgetExceededError("budget: chain table of %d entries passes %d"
-                                  % (e ** m, CHAIN_TABLE_CAP))
+        raise BudgetExceededError("budget: chain table of %s entries passes %d"
+                                  % (_count_text(e ** m), CHAIN_TABLE_CAP))
     return (e ** m + e ** (d + 1 - m)) * (d + 1)
 
 
@@ -666,7 +666,6 @@ class InterpolationResult:
     m: int | None
     zeros: tuple[int, ...]
     candidates: list[Poly]
-    candidates_examined: int
     survivors: int
     rank_events: int
     rank_violations: int
@@ -702,7 +701,7 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
         poly = naive_power_interpolate(memo, d)
         ms = (time.perf_counter() - t0) * 1000.0
         return InterpolationResult(poly, p, e, d, n, memo.query_count, None, None,
-                                   (), [poly], 1, 1, 0, 0, d + 1, ms)
+                                   (), [poly], 1, 0, 0, d + 1, ms)
 
     window = compute_window(p, e, d, c1)
     choose_m(p, e, m_cap)  # depends on p and e only: refuse before any query
@@ -723,9 +722,8 @@ def interpolate(oracle: PowerOracle, d: int, n: int = 1, c1=1,
     budget = s1.range_top + s3.filter_top + 1 + len(s3.survivors) * s3.scan_end
     ms = (time.perf_counter() - t0) * 1000.0
     return InterpolationResult(winner, p, e, d, n, memo.query_count, window,
-                               s3.m, s1.zeros, candidates, len(candidates),
-                               len(s3.survivors), rank.events, rank.violations,
-                               budget, ms)
+                               s3.m, s1.zeros, candidates, len(s3.survivors),
+                               rank.events, rank.violations, budget, ms)
 
 
 def naive_power_interpolate(oracle: PowerOracle, d: int) -> Poly:

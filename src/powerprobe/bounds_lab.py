@@ -21,7 +21,7 @@ from dataclasses import dataclass
 # the budget lives in ff_core, which the step 2 walk shares
 from .ff_core import (MAX_MODULUS, BudgetExceededError, DomainError, PrimeFieldCtx,
                       _charge, factorize)
-from .poly_algebra import (BiPoly, Poly, RationalFn, _eval, is_square_free,
+from .poly_algebra import (BiPoly, Poly, RationalFn, _draw_monic, _eval,
                            perfect_power_decompose, poly_gcd, resultant_shifted)
 from .algorithms import choose_m, compute_window, shifted_condition_holds
 
@@ -405,21 +405,10 @@ def _cell_H(p: int, e: int, d: int, policy) -> int:
     raise DomainError("bad H_policy")
 
 
-def _draw_poly(rng, p, d, square_free=False, avoid_roots=()):
-    for _ in range(200):
-        f = Poly(p, [rng.randrange(p) for _ in range(d)] + [1])
-        if square_free and not is_square_free(f):
-            continue
-        if avoid_roots and any(f(x) == 0 for x in avoid_roots):
-            continue
-        return f
-    raise DomainError("no valid polynomial found")
-
-
 def _draw_psi(rng, p, d, ctx):
     for _ in range(200):
-        f = _draw_poly(rng, p, d)
-        g = _draw_poly(rng, p, d)
+        f = _draw_monic(rng, p, d, 200)
+        g = _draw_monic(rng, p, d, 200)
         psi = RationalFn(f, g)  # reduced, so den.degree < d iff gcd(f, g) != 1
         if psi.den.degree < d or psi.is_constant:
             continue
@@ -436,8 +425,8 @@ def _run_cell(exp, p, e, d, rng, ctx, constant, H_policy):
         measured = count_value_set_in_subgroup(psi, H, e, ctx)
         return measured, envelope_value_set(d, e, p, H, constant), H, None
     if exp == "curve_points":
-        f = _draw_poly(rng, p, d)
-        g = _draw_poly(rng, p, max(0, d - 1)) if d > 1 else Poly.one(p)
+        f = _draw_monic(rng, p, d, 200)
+        g = _draw_monic(rng, p, max(0, d - 1), 200) if d > 1 else Poly.one(p)
         if poly_gcd(f, g).degree > 0:
             g = Poly.one(p)
         a = 1 + rng.randrange(p - 1)
@@ -458,7 +447,7 @@ def _run_cell(exp, p, e, d, rng, ctx, constant, H_policy):
         xs = list(range(d * (m - 1) + 2))
         if xs[-1] >= p:
             raise DomainError("node range exceeds the field")
-        f = _draw_poly(rng, p, d, square_free=True, avoid_roots=xs)
+        f = _draw_monic(rng, p, d, 200, square_free=True, avoid_roots=xs)
         As = [pow(f(x), e, p) for x in xs]
         measured = count_interpolating_polynomials(xs, As, e, d, ctx)
         return measured, envelope_interpolating_count(e, d, constant), None, m
@@ -503,7 +492,5 @@ def sweep(grid: dict) -> list[BoundReport]:
                     ms = (time.perf_counter() - t0) * 1000.0
                     reports.append(BoundReport(exp, p, e, d, H, m, measured,
                                                envelope, ratio, status, ms))
-    reports.sort(key=lambda r: (r.experiment, r.p, r.e, r.d,
-                                r.H if r.H is not None else -1,
-                                r.m if r.m is not None else -1))
+    reports.sort(key=operator.attrgetter("experiment", "p", "e", "d"))
     return reports

@@ -14,9 +14,8 @@ import time
 from fractions import Fraction
 
 from .ff_core import BudgetExceededError, DomainError, PrimeFieldCtx
-from .oracle import (OracleError, gen_instance, instance_to_json, make_oracle,
-                     read_instance, replay_oracle_from_file, write_instance,
-                     write_transcript)
+from .oracle import (gen_instance, instance_to_json, make_oracle, read_instance,
+                     replay_oracle_from_file, write_instance, write_transcript)
 from .algorithms import (AlgorithmError, compute_window, identity_test,
                          interpolate, regime_condition_holds)
 from .bounds_lab import load_grid, sweep, write_csv
@@ -113,13 +112,29 @@ def _require(args, *names):
             raise DomainError("missing required flag --%s" % name)
 
 
-def _cmd_gen(args) -> int:
+def _load_instance(args, inline=True, **constraints):
+    """The instance in --instance, else (when `inline`) the seeded draw of the
+    inline flags under the subcommand's constraints; None when neither."""
+    if getattr(args, "instance", None):
+        if args.p is not None:
+            raise DomainError("choose one input source: --instance or inline flags")
+        return read_instance(args.instance)
+    if not inline:
+        return None
     _require(args, "p", "e", "d", "seed")
-    inst = gen_instance(args.p, args.e, args.d, args.seed,
-                        require_square_free=args.require_square_free,
-                        with_g=args.with_g or args.require_non_pp_ratio,
-                        equal_g=args.equal_g,
-                        require_non_perfect_power_ratio=args.require_non_pp_ratio)
+    return gen_instance(args.p, args.e, args.d, args.seed, **constraints)
+
+
+def _add_c2(payload, args, p, e, d) -> None:
+    if args.c2 is not None:
+        payload["cond_ed_holds_c2"] = regime_condition_holds(p, e, d, _fraction(args.c2))
+
+
+def _cmd_gen(args) -> int:
+    inst = _load_instance(args, require_square_free=args.require_square_free,
+                          with_g=args.with_g or args.require_non_pp_ratio,
+                          equal_g=args.equal_g,
+                          require_non_perfect_power_ratio=args.require_non_pp_ratio)
     if args.out:
         write_instance(inst, args.out, redact=args.redact)
         _log("wrote instance to %s" % args.out)
@@ -130,19 +145,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _load_identity_instance(args):
-    if args.instance and args.p is not None:
-        raise DomainError("choose one input source: --instance or inline flags")
-    if args.instance:
-        return read_instance(args.instance)
-    _require(args, "p", "e", "d", "seed")
-    return gen_instance(args.p, args.e, args.d, args.seed,
-                        with_g=not args.equal_g, equal_g=args.equal_g,
-                        require_non_perfect_power_ratio=args.require_non_pp_ratio)
-
-
 def _cmd_identity(args) -> int:
-    inst = _load_identity_instance(args)
+    inst = _load_instance(args, with_g=not args.equal_g, equal_g=args.equal_g,
+                          require_non_perfect_power_ratio=args.require_non_pp_ratio)
     if inst.f is None:
         raise DomainError("instance lacks f")
     if inst.g is None:
@@ -160,19 +165,13 @@ def _cmd_identity(args) -> int:
                "query_count": verdict.queries, "H": window.H,
                "cond_ed_holds": window.cond_ed_holds,
                "candidates_examined": None, "wall_time_ms": round(ms, 3)}
-    if args.c2 is not None:
-        payload["cond_ed_holds_c2"] = regime_condition_holds(
-            inst.p, inst.e, inst.d, _fraction(args.c2))
+    _add_c2(payload, args, inst.p, inst.e, inst.d)
     _emit(payload)
     return 1 if verdict.different else 0
 
 
 def _cmd_interpolate(args) -> int:
-    inst = None
-    if args.instance and args.p is not None:
-        raise DomainError("choose one input source: --instance or inline flags")
-    if args.instance:
-        inst = read_instance(args.instance)
+    inst = _load_instance(args, inline=not args.transcript, require_square_free=True)
     if args.transcript:
         oracle = replay_oracle_from_file(args.transcript)
         if inst is not None and (inst.p != oracle.p or inst.e != oracle.e):
@@ -180,19 +179,13 @@ def _cmd_interpolate(args) -> int:
         d = inst.d if inst is not None else args.d
         if d is None:
             raise DomainError("missing degree: give --instance or --d")
-        p, e = oracle.p, oracle.e
-    elif inst is not None:
+    else:
         if inst.f is None:
             raise DomainError("instance lacks f; replay needs --transcript")
+        if not args.instance:
+            _log("generated instance with seed %d" % args.seed)
         oracle = make_oracle(inst, "f")
-        p, e, d = inst.p, inst.e, inst.d
-    else:
-        _require(args, "p", "e", "d", "seed")
-        inst = gen_instance(args.p, args.e, args.d, args.seed,
-                            require_square_free=True)
-        _log("generated instance with seed %d" % args.seed)
-        oracle = make_oracle(inst, "f")
-        p, e, d = inst.p, inst.e, inst.d
+        d = inst.d
     if inst is not None and inst.f is not None and not args.force:
         if not is_square_free(inst.f):
             raise DomainError("square-free required; pass --force to try anyway")
@@ -202,7 +195,7 @@ def _cmd_interpolate(args) -> int:
         write_transcript(oracle, args.save_transcript)
     payload = {"recovered_f": [str(c) for c in result.poly.coeffs],
                "query_count": result.query_count,
-               "candidates_examined": result.candidates_examined,
+               "candidates_examined": len(result.candidates),
                "survivors": result.survivors,
                "m": result.m, "n": result.n,
                "H": result.window.H if result.window else None,
@@ -211,8 +204,7 @@ def _cmd_interpolate(args) -> int:
                "rank_violations": result.rank_violations,
                "query_budget": result.query_budget,
                "wall_time_ms": round(result.wall_time_ms, 3)}
-    if args.c2 is not None:
-        payload["cond_ed_holds_c2"] = regime_condition_holds(p, e, d, _fraction(args.c2))
+    _add_c2(payload, args, oracle.p, oracle.e, d)
     if args.c3 is not None:
         payload["query_budget_c3"] = float(_fraction(args.c3) * result.query_budget)
     _emit(payload)
@@ -251,9 +243,7 @@ def _cmd_window(args) -> int:
                "cond_ed_holds": window.cond_ed_holds,
                "branch_ratio": window.branch_ratio,
                "branch_root": window.branch_root}
-    if args.c2 is not None:
-        payload["cond_ed_holds_c2"] = regime_condition_holds(
-            args.p, args.e, args.d, _fraction(args.c2))
+    _add_c2(payload, args, args.p, args.e, args.d)
     _emit(payload)
     return 0
 
@@ -269,8 +259,7 @@ def main(argv=None) -> int:
         return _DISPATCH[args.cmd](args)
     except SystemExit as ex:  # --help
         return int(ex.code or 0)
-    except (DomainError, OracleError, AlgorithmError, BudgetExceededError,
-            OSError, json.JSONDecodeError, ValueError) as ex:
+    except (ValueError, AlgorithmError, BudgetExceededError, OSError) as ex:
         _log("error: %s" % ex)
         _emit({"error": str(ex)})
         return 2

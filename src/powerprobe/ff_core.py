@@ -49,10 +49,19 @@ def _budget() -> int:
     return _parse_budget(os.environ.get("POWERPROBE_BUDGET"))
 
 
+def _count_text(n: int) -> str:
+    # n in decimal; past Python's limit on int-to-str digits, a power of two
+    # below it, so a refusal stays a BudgetExceededError at any size
+    try:
+        return "%d" % n
+    except ValueError:
+        return "over 2^%d" % (n.bit_length() - 1)
+
+
 def _charge(estimate: int) -> None:
     # refuse, before any of it is done, work estimated above the budget
     if estimate > _budget():
-        raise BudgetExceededError("budget: estimated %d ops" % estimate)
+        raise BudgetExceededError("budget: estimated %s ops" % _count_text(estimate))
 
 
 @lru_cache(maxsize=256, typed=True)

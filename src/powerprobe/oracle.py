@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .ff_core import DomainError, is_prime
-from .poly_algebra import Poly, RationalFn, is_square_free, perfect_power_decompose
+from .poly_algebra import Poly, RationalFn, _draw_monic, perfect_power_decompose
 
 
 class OracleError(DomainError):
@@ -85,10 +85,6 @@ class PowerOracle:
         return len(self._log)
 
     @property
-    def has_repeated_queries(self) -> bool:
-        return len({x for x, _ in self._log}) < len(self._log)
-
-    @property
     def transcript(self) -> tuple[tuple[int, int], ...]:
         return tuple(self._log)
 
@@ -149,10 +145,6 @@ class CachingOracle(PowerOracle):
         return len(self._cache)
 
     @property
-    def has_repeated_queries(self) -> bool:
-        return self.inner.has_repeated_queries
-
-    @property
     def transcript(self):
         return self.inner.transcript
 
@@ -181,22 +173,13 @@ def gen_instance(p: int, e: int, d: int, seed: int,
     if d >= p:
         raise DomainError("d must be below p")
     rng = random.Random(seed)
-
-    def draw():
-        for _ in range(_MAX_DRAWS):
-            f = Poly(p, [rng.randrange(p) for _ in range(d)] + [1])
-            if require_square_free and not is_square_free(f):
-                continue
-            return f
-        raise DomainError("constraints unsatisfiable after %d draws" % _MAX_DRAWS)
-
-    f = draw()
+    f = _draw_monic(rng, p, d, _MAX_DRAWS, square_free=require_square_free)
     g = None
     if equal_g:
         g = f
     elif with_g:
         for _ in range(_MAX_DRAWS):
-            g = draw()
+            g = _draw_monic(rng, p, d, _MAX_DRAWS, square_free=require_square_free)
             if require_non_perfect_power_ratio:
                 ratio = RationalFn(f, g)
                 if ratio.is_constant:

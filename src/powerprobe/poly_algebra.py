@@ -211,6 +211,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     a, b = list(f.coeffs), list(g.coeffs)
     if not a and not b:
         raise DomainError("gcd(0, 0) undefined")
+    _charge(len(a) * len(b))  # the Euclidean loop's O(deg f deg g) operations
     while b:
         a, b = b, _divmod(a, b, p)[1]
     return Poly(p, _scale(a, pow(a[-1], -1, p), p))
@@ -267,6 +268,19 @@ def is_square_free(f: Poly) -> bool:
     if f.degree == 0:
         return True
     return poly_gcd(f, f.derivative()).degree == 0
+
+
+def _draw_monic(rng, p: int, d: int, tries: int, square_free: bool = False,
+                avoid_roots=()) -> Poly:
+    # the first of up to `tries` seeded monic degree-d draws that meets the constraints
+    for _ in range(tries):
+        f = Poly(p, [rng.randrange(p) for _ in range(d)] + [1])
+        if square_free and not is_square_free(f):
+            continue
+        if avoid_roots and any(f(x) == 0 for x in avoid_roots):
+            continue
+        return f
+    raise DomainError("constraints unsatisfiable after %d draws" % tries)
 
 
 def square_free_decomposition(f: Poly) -> list[tuple[Poly, int]]:

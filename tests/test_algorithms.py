@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import time
 from fractions import Fraction
 from unittest import mock
@@ -867,6 +868,19 @@ class TestInterpolate:
         assert e ** 2 > CHAIN_TABLE_CAP
         oracle = CachingOracle(make_oracle(gen_instance((1 << 61) - 1, e, d, seed=1)))
         with pytest.raises(BudgetExceededError, match="chain table of %d entries" % e ** 2):
+            interpolate(oracle, d)
+        assert oracle.query_count == 0
+
+    @pytest.mark.parametrize("e, d, entries", [
+        (2, 9000, "%d" % 2 ** 4500), (231, 4000, "over 2^15703"), (3, 20000, "over 2^15849")],
+        ids=["2-9000", "231-4000", "3-20000"])
+    def test_chain_refusal_typed_past_the_digit_limit(self, e, d, entries):
+        # e^m has 1,355 digits at (2, 9000) and more than Python's 4,300-digit
+        # int-to-str limit at the others, which name it by a power of two
+        p = (1 << 61) - 1
+        oracle = CachingOracle(LocalPowerOracle(p, e, Poly(p, [1, 1])))
+        message = re.escape("chain table of %s entries" % entries)
+        with pytest.raises(BudgetExceededError, match=message):
             interpolate(oracle, d)
         assert oracle.query_count == 0
 

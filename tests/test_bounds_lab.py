@@ -316,6 +316,12 @@ class TestInterpCountStrategies:
             count_interpolating_polynomials_alt([0, 1], [1, 1], 2, 3, ctx)
         assert count_interpolating_polynomials([0, 1], [1, 1], 2, 3, ctx) == 4 * p + 5
 
+    @pytest.mark.parametrize("d", [800, 900])
+    def test_coefficient_refusal_typed_past_the_digit_limit(self, d):
+        # the estimate has more than Python's 4,300-digit int-to-str limit at d = 900
+        with pytest.raises(BudgetExceededError, match="budget: estimated"):
+            count_interpolating_polynomials_alt([0, 1], [1, 1], 2, d, PrimeFieldCtx(65537))
+
 
 class TestBudget:
     def test_env_budget(self, monkeypatch):

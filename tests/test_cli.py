@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerprobe.bounds_lab import CSV_HEADER
 from powerprobe.cli import _build_parser, main
 from powerprobe.oracle import (LocalPowerOracle, read_instance,
                                transcript_to_jsonl, write_transcript)
@@ -396,6 +397,36 @@ class TestTopLevel:
         assert [code for code, _, _ in in_a_row] == [0, 2, 1]
         assert in_a_row == fresh
 
+    @pytest.mark.parametrize("argv, error", [
+        (["identity", "--instance", "{inst}", "--p", "101"], "choose one input source"),
+        (["interpolate", "--instance", "{inst}", "--p", "101", "--transcript", "{t}"],
+         "choose one input source"),
+        (["gen", "--p", "101", "--e", "5", "--d", "2"], "missing required flag --seed"),
+        (["identity", "--p", "101", "--e", "5", "--seed", "1"], "missing required flag --d"),
+        (["interpolate", "--p", "101", "--e", "5", "--d", "2"], "missing required flag --seed"),
+        (["identity", "--instance", "{f_only}"], "instance lacks g"),
+        (["identity", "--instance", "{redacted}"], "instance lacks f"),
+        (["interpolate", "--instance", "{redacted}"], "instance lacks f; replay needs --transcript"),
+        (["interpolate", "--transcript", "{t}"], "missing degree: give --instance or --d"),
+        # a replay reads p and e off the transcript, so an inline --p is no conflict
+        (["interpolate", "--transcript", "{t}", "--p", "101"], "missing degree"),
+        (["interpolate", "--transcript", "{t}", "--instance", "{p101}"],
+         "transcript does not match the instance")])
+    def test_first_error_of_each_input_source(self, capsys, tmp_path, argv, error):
+        files = {name: str(tmp_path / name) for name in ("inst", "f_only", "redacted", "p101", "t")}
+        for name, p, e, flags in (("inst", 13, 3, ["--with-g"]), ("f_only", 13, 3, []),
+                                  ("redacted", 13, 3, ["--redact"]), ("p101", 101, 5, [])):
+            assert main(["gen", "--p", str(p), "--e", str(e), "--d", "2", "--seed", "1",
+                         "--out", files[name]] + flags) == 0
+        oracle = LocalPowerOracle(13, 3, Poly(13, [2, 1]))
+        for x in range(5):
+            oracle.query(x)
+        write_transcript(oracle, files["t"])
+        capsys.readouterr()
+        code, out, _ = run(capsys, *(a.format(**files) for a in argv))
+        assert code == 2
+        assert payload(out)["error"].startswith(error)
+
     def test_no_subcommand_exit_2(self, capsys):
         assert main([]) == 2
 
@@ -542,6 +573,22 @@ class TestReadmeExamples:
         for data in (want, got):
             data.pop("wall_time_ms", None)
         assert got == want
+
+    def test_sweep_grid_spec_runs(self, capsys, tmp_path):
+        # the JSON block under the README's "Sweep grid spec" heading is a
+        # grid that `powerprobe sweep` runs, every cell ok, and its CSV has
+        # the header documented there
+        with open(README) as fh:
+            section = fh.read().split("\n## Sweep grid spec\n", 1)[1].split("\n## ", 1)[0]
+        spec, rest = section.split("```json\n", 1)[1].split("```", 1)
+        header = rest.split("```\n", 1)[1].split("```", 1)[0].strip()
+        grid = tmp_path / "grid.json"
+        grid.write_text(spec)
+        code, out, _ = run(capsys, "sweep", "--grid", str(grid), "--out", str(tmp_path / "s.csv"))
+        assert code == 0
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == header == CSV_HEADER
+        assert payload(out)["rows"] == payload(out)["ok"] == len(lines) - 1 > 0
 
     def test_library_quick_start_runs(self):
         # the python block under the README's "Library quick start" heading

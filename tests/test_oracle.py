@@ -1,13 +1,14 @@
 """Oracle implementations, instance generation, file round trips."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerprobe.algorithms import compute_window, identity_test
-from powerprobe.ff_core import DomainError
+from powerprobe.ff_core import BudgetExceededError, DomainError
 from powerprobe.oracle import (CachingOracle, InstanceSpec, LocalPowerOracle,
                                PowerOracle, ReplayOracle, TranscriptIncompleteError,
                                gen_instance, instance_from_json,
@@ -56,9 +57,8 @@ class TestLocalOracle:
         o.query(4)
         assert o.query_count == 2
         assert o.transcript == ((3, 12), (4, 8))
-        assert not o.has_repeated_queries
         o.query(3)
-        assert o.has_repeated_queries
+        assert o.transcript == ((3, 12), (4, 8), (3, 12))
         assert o.query_count == 3
 
     def test_pure_function_of_input(self):
@@ -93,7 +93,6 @@ def assert_matches_horner(p, e, coeffs, xs):
     assert [local.query(x) for x in xs] == [ref.query(x) for x in xs]
     assert local.transcript == ref.transcript
     assert local.query_count == ref.query_count == len(xs)
-    assert local.has_repeated_queries == ref.has_repeated_queries
 
 
 @st.composite
@@ -123,9 +122,10 @@ def query_sequences(draw, p, cap):
     return xs
 
 
-class TestBlockedScans:
-    # small primes, and 2^61 - 1 and 2^62 - 57, where products of two field
-    # elements pass 2^64, with d <= 8 and d = 15
+class TestAgainstHornerReference:
+    # LocalPowerOracle and identity_test against the Horner reference on
+    # scans, jumps and repeats: small primes, and 2^61 - 1 and 2^62 - 57,
+    # where products of two field elements pass 2^64, with d <= 8 and d = 15
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([(101, 5), (257, 16), (7681, 3), (65537, 4),
                             (2 ** 61 - 1, 231), (2 ** 62 - 57, 18)]),
@@ -136,7 +136,7 @@ class TestBlockedScans:
         coeffs[-1] = coeffs[-1] or 1
         assert_matches_horner(p, e, coeffs, data.draw(query_sequences(p, 64 * (d + 1))))
 
-    def test_three_word_slots_reach_the_cap(self):
+    def test_long_scans_and_jumps_near_2_62(self):
         # a 3,000-point scan at d = 15 near 2^62, two jumps back into earlier
         # points, and a scan that ends at p - 1
         p, e, d = 2 ** 62 - 57, 18, 15
@@ -227,7 +227,7 @@ class TestCachingOracle:
         assert o.query(5) == pow(6, 3, 13)
         assert o.query_count == 2  # distinct points only
         assert inner.query_count == 2  # repeat served from cache
-        assert not inner.has_repeated_queries
+        assert inner.transcript == ((4, 8), (5, pow(6, 3, 13)))
 
     def test_repeats_read_from_inner_transcript(self):
         inner = make_oracle(gen_instance(101, 5, 2, 3))
@@ -236,7 +236,6 @@ class TestCachingOracle:
         o = CachingOracle(inner)
         o.query(2)
         assert o.transcript == ((1, 95), (1, 95), (2, 41))
-        assert o.has_repeated_queries
 
 
 class TestGenInstance:
@@ -257,6 +256,13 @@ class TestGenInstance:
         for seed in range(10):
             spec = gen_instance(13, 3, 2, seed=seed, require_square_free=True)
             assert is_square_free(spec.f)
+
+    def test_square_free_test_charged_before_its_gcd(self):
+        # gcd(f, f') at d = 20,000 is about 4 * 10^8 operations: refused at once
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            gen_instance(2 ** 61 - 1, 2, 20000, 1, require_square_free=True)
+        assert time.perf_counter() - t0 < 1
 
     def test_with_g_variants(self):
         spec = gen_instance(101, 5, 2, seed=3, with_g=True)
